@@ -64,7 +64,6 @@ def run_micro_ga(
     seed_columns: Sequence[np.ndarray] = (),
     params: AGRAParams = PAPER_AGRA_PARAMS,
     rng: SeedLike = None,
-    incremental: bool = True,
 ) -> MicroGAResult:
     """Evolve replica placements for a single object.
 
@@ -80,13 +79,12 @@ def run_micro_ga(
         Columns extracted from previous GRA solutions; fills the
         non-random half of the initial population (cycled if fewer than
         needed).
-    incremental:
-        Evaluate pass-through (un-crossed, possibly mutated) pool members
-        as delta chains off their parent's
-        :class:`~repro.core.incremental.ObjectColumnState` (default);
-        crossover children keep the memoised full-kernel path either
-        way.  Values, RNG consumption and cache accounting are identical
-        with the flag on or off.
+
+    Every chromosome carries an
+    :class:`~repro.core.incremental.ObjectColumnState`.  Pass-through
+    (un-crossed, possibly mutated) pool members are priced as delta
+    chains off a clone of their parent's state; crossover children mix
+    two parents and get a fresh state.
     """
     gen = as_generator(rng)
     m = instance.num_sites
@@ -106,32 +104,23 @@ def run_micro_ga(
 
     def fitness_of(
         column: np.ndarray,
-        state: Optional[ObjectColumnState] = None,
+        state: ObjectColumnState,
     ) -> Tuple[float, np.ndarray, Optional[ObjectColumnState]]:
         """Fitness with the paper's negative reset to primary-only.
 
-        With a ``state`` the column is priced by chaining the state's
-        two-nearest structure to it; otherwise through the memoised full
-        kernel.  A negative-fitness reset discards the state — it
-        described the pre-reset column.
+        The column is priced by chaining ``state``'s two-nearest
+        structure to it.  A negative-fitness reset discards the state —
+        it described the pre-reset column.
         """
         nonlocal evaluations
         evaluations += 1
-        if state is not None:
-            v = state.evaluate(column)
-        else:
-            v = model.object_cost_cached(obj, column)
+        v = state.evaluate(column)
         if v_prime == 0.0:
             return 0.0, column, state
         f = (v_prime - v) / v_prime
         if f < 0.0:
             return 0.0, _primary_only_column(instance, obj), None
         return f, column, state
-
-    def fresh_state(column: np.ndarray) -> Optional[ObjectColumnState]:
-        if not incremental:
-            return None
-        return ObjectColumnState(model, obj, column)
 
     # ------------------------------------------------------------------ #
     # initial population: half random, half from previous GRA solutions,
@@ -159,7 +148,9 @@ def run_micro_ga(
     fitness: List[float] = []
     states: List[Optional[ObjectColumnState]] = []
     for i, column in enumerate(population):
-        f, column, state = fitness_of(column, fresh_state(column))
+        f, column, state = fitness_of(
+            column, ObjectColumnState(model, obj, column)
+        )
         population[i] = column
         fitness.append(f)
         states.append(state)
@@ -211,15 +202,13 @@ def run_micro_ga(
         pool_fitness: List[float] = []
         pool_states: List[Optional[ObjectColumnState]] = []
         for i, column in enumerate(pool):
-            state = None
-            if incremental:
-                parent_idx = pool_parents[i]
-                if parent_idx is not None and states[parent_idx] is not None:
-                    # Chain: clone the parent's state (selection shares
-                    # state objects between slots) and apply the diff.
-                    state = states[parent_idx].clone()
-                else:
-                    state = fresh_state(column)
+            parent_idx = pool_parents[i]
+            if parent_idx is not None and states[parent_idx] is not None:
+                # Chain: clone the parent's state (selection shares state
+                # objects between slots) and apply the diff.
+                state = states[parent_idx].clone()
+            else:
+                state = ObjectColumnState(model, obj, column)
             f, column, state = fitness_of(column, state)
             pool[i] = column
             pool_fitness.append(f)

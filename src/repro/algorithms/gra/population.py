@@ -72,17 +72,12 @@ class Population:
         instance: DRPInstance,
         model: CostModel,
         members: Optional[Sequence[Chromosome]] = None,
-        delta_chains: bool = True,
     ) -> None:
         self.instance = instance
         self.model = model
         self.members: List[Chromosome] = list(members or [])
         self._eval_cache: Dict[bytes, float] = {}
         self.evaluations = 0
-        #: evaluate mutation offspring as delta chains from their parent
-        #: genome (bit-identical totals; the flag exists for the golden
-        #: comparison tests and benchmarks)
-        self.delta_chains = delta_chains
         self.chained_evaluations = 0
 
     def __len__(self) -> int:
@@ -124,7 +119,7 @@ class Population:
         for member in pending:
             key = member.key()
             cost = self._eval_cache.get(key)
-            if cost is None and self.delta_chains and member.parent is not None:
+            if cost is None and member.parent is not None:
                 cost = self._chain_cost(member)
                 if cost is not None:
                     chained += 1

@@ -20,6 +20,10 @@ from repro.errors import CapacityError, PrimaryCopyError, ValidationError
 #: of ``"add"`` / ``"drop"``, invoked *after* the mutation landed.
 ChangeListener = Callable[[str, int, int], None]
 
+#: slack on every storage check, so float sizes that sum to a capacity
+#: exactly (up to rounding) still fit
+CAPACITY_TOLERANCE = 1e-9
+
 
 class ReplicationScheme:
     """A mutable replica placement for one :class:`DRPInstance`.
@@ -243,7 +247,7 @@ class ReplicationScheme:
         caps = self._instance.capacities
         return [
             (int(i), float(self._used[i]), float(caps[i]))
-            for i in np.nonzero(self._used > caps + 1e-9)[0]
+            for i in np.nonzero(self._used > caps + CAPACITY_TOLERANCE)[0]
         ]
 
     def is_valid(self) -> bool:
@@ -272,7 +276,8 @@ class ReplicationScheme:
         size = self._instance.sizes[obj]
         if (
             self._enforce_capacity
-            and self._used[site] + size > self._instance.capacities[site] + 1e-9
+            and self._used[site] + size
+            > self._instance.capacities[site] + CAPACITY_TOLERANCE
         ):
             raise CapacityError(
                 site,
@@ -333,4 +338,4 @@ class ReplicationScheme:
         )
 
 
-__all__ = ["ReplicationScheme"]
+__all__ = ["CAPACITY_TOLERANCE", "ReplicationScheme"]

@@ -11,7 +11,9 @@ from repro.algorithms import (
     SRA,
     solve_optimal,
 )
-from repro.core import CostModel
+from repro.algorithms.localsearch import MOVE_SWAP, _sample_moves
+from repro.core import CostModel, DRPInstance, ReplicationScheme
+from repro.core.incremental import IncrementalCostEvaluator
 from repro.errors import ValidationError
 from repro.workload import WorkloadSpec, generate_instance
 
@@ -112,3 +114,45 @@ def test_both_improve_on_high_update_instance():
     sa = SimulatedAnnealing(steps=2500, rng=10).run(inst, model)
     assert hc.total_cost <= sra.total_cost + 1e-9
     assert sa.total_cost <= sra.total_cost + 1e-9
+
+
+def _float_size_instance(sizes) -> DRPInstance:
+    """Two sites; every primary at site 0, every read at site 1."""
+    n = len(sizes)
+    return DRPInstance(
+        cost=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        sizes=np.array(sizes),
+        capacities=np.array([2.0, 1.0]),
+        reads=np.array([[0] * n, [45] * n]),
+        writes=np.zeros((2, n), dtype=int),
+        primaries=np.zeros(n, dtype=int),
+    )
+
+
+def test_hill_climbing_adds_float_sizes_that_fit_up_to_rounding():
+    # 1.0 - 0.1 - 0.8 leaves 0.09999999999999998 at site 1; the scheme
+    # (and SRA) accept the last 0.1 within the capacity slack, so the
+    # local search must propose it too.
+    inst = _float_size_instance([0.1, 0.8, 0.1])
+    assert SRA().run(inst).total_cost == 0.0
+    hc = HillClimbing(seed_with_sra=False, rng=0).run(inst)
+    assert hc.total_cost == 0.0
+    assert hc.scheme.matrix[1].all()
+
+
+def test_swap_moves_free_float_sizes_up_to_rounding():
+    # Site 1 holds 0.1 + 0.8; swapping the 0.1 out for a 0.2 lands on the
+    # capacity exactly, which add_replica accepts.
+    inst = _float_size_instance([0.1, 0.8, 0.2])
+    scheme = ReplicationScheme.primary_only(inst)
+    scheme.add_replica(1, 0)
+    scheme.add_replica(1, 1)
+    evaluator = IncrementalCostEvaluator(CostModel(inst), scheme)
+    moves = _sample_moves(
+        inst, scheme, np.random.default_rng(0), 200, evaluator
+    )
+    evaluator.detach()
+    assert any(
+        mv.kind == MOVE_SWAP and mv.add_obj == 2 and mv.drop_obj == 0
+        for mv in moves
+    )

@@ -152,20 +152,22 @@ class TestBenefitMatrixBlocked:
 # algorithms on sparse problems
 # --------------------------------------------------------------------- #
 class TestAlgorithmsOnSparse:
-    def test_sra_sparse_matches_both_dense_paths(
-        self, dense_instance, sparse_problem
-    ):
-        sparse_result = SRA().run(sparse_problem)
-        incremental = SRA().run(dense_instance)
-        legacy = SRA(incremental=False).run(dense_instance)
-        assert sparse_result.stats["evaluation_path"] == "sparse"
-        assert np.array_equal(
-            sparse_result.scheme.matrix, incremental.scheme.matrix
+    @pytest.mark.parametrize("order", ["round-robin", "random"])
+    @pytest.mark.parametrize("num_objects", [21, 257])
+    def test_sra_sparse_matches_dense(self, order, num_objects):
+        # N=257 crosses the default 256-wide pricing tile (and leaves a
+        # width-1 remainder the sparse model must merge).
+        dense_instance = generate_instance(
+            WorkloadSpec(num_sites=9, num_objects=num_objects,
+                         update_ratio=0.05, capacity_ratio=0.25),
+            rng=505,
         )
-        assert np.array_equal(
-            sparse_result.scheme.matrix, legacy.scheme.matrix
-        )
-        assert sparse_result.total_cost == incremental.total_cost
+        sparse_problem = SparseProblem.from_instance(dense_instance)
+        dense = SRA(site_order=order, rng=3).run(dense_instance)
+        sparse = SRA(site_order=order, rng=3).run(sparse_problem)
+        assert np.array_equal(sparse.scheme.matrix, dense.scheme.matrix)
+        assert sparse.total_cost == dense.total_cost
+        assert sparse.stats == dense.stats
 
     def test_sra_sparse_total_cost_is_dense_exact(
         self, dense_instance, sparse_problem

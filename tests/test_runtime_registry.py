@@ -32,8 +32,12 @@ def test_default_registry_contents_and_capabilities():
     standalone = registry.names(standalone=True)
     assert "agra" not in standalone and "adr-tree" not in standalone
     assert {"sra", "gra", "optimal"} <= set(standalone)
-    caps = registry.get("sra").capabilities
-    assert caps["supports_incremental"] and caps["deterministic"]
+    assert registry.get("sra").capabilities == {
+        "supports_sparse": True,
+        "supports_faults": False,
+        "deterministic": True,
+        "standalone": True,
+    }
 
 
 def test_unknown_names_and_capabilities_error_clearly():
