@@ -45,7 +45,7 @@ import numpy as np
 from repro.algorithms.base import ReplicationAlgorithm
 from repro.core.cost import CostModel
 from repro.core.problem import DRPInstance
-from repro.core.scheme import ReplicationScheme
+from repro.core.scheme import CAPACITY_TOLERANCE, ReplicationScheme
 from repro.errors import TopologyError, ValidationError
 from repro.network.topology import Topology
 
@@ -140,7 +140,7 @@ class ADRTree(ReplicationAlgorithm):
                 reads_from_side = float(reads[side].sum())
                 writes_from_rest = float(writes[~side].sum())
                 if reads_from_side > writes_from_rest:
-                    if remaining[nbr] + 1e-9 < size:
+                    if remaining[nbr] + CAPACITY_TOLERANCE < size:
                         continue  # capacity deviation: skip, do not fail
                     before = model.total_cost(scheme.matrix)
                     scheme.add_replica(nbr, obj)

@@ -23,7 +23,7 @@ import numpy as np
 from repro.algorithms.gra.population import Chromosome, Population
 from repro.core.benefit import deallocation_estimates_for_site
 from repro.core.problem import DRPInstance
-from repro.core.scheme import ReplicationScheme
+from repro.core.scheme import CAPACITY_TOLERANCE, ReplicationScheme
 from repro.errors import ReproError, ValidationError
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.tracing import current_tracer
@@ -42,13 +42,13 @@ def repair_capacity(
     """
     # Fast path: most transcriptions do not overflow any site.
     loads = np.asarray(matrix, dtype=float) @ instance.sizes
-    if np.all(loads <= instance.capacities + 1e-9):
+    if np.all(loads <= instance.capacities + CAPACITY_TOLERANCE):
         return matrix
     scheme = ReplicationScheme.from_matrix(
         instance, matrix, enforce_capacity=False
     )
     capacities = instance.capacities
-    for site in np.nonzero(loads > capacities + 1e-9)[0]:
+    for site in np.nonzero(loads > capacities + CAPACITY_TOLERANCE)[0]:
         site = int(site)
         # Dropping an object at this site changes only that object's own
         # degree, so the remaining candidates' estimates stay valid:
@@ -63,7 +63,7 @@ def repair_capacity(
         used = float(scheme.used_storage()[site])
         tracer = current_tracer()
         for victim in order:
-            if used <= capacities[site] + 1e-9:
+            if used <= capacities[site] + CAPACITY_TOLERANCE:
                 break
             scheme.drop_replica(site, victim)
             if tracer.enabled:
@@ -76,7 +76,7 @@ def repair_capacity(
                     estimate=float(estimates[victim]),
                 )
             used -= float(instance.sizes[victim])
-        if used > capacities[site] + 1e-9:
+        if used > capacities[site] + CAPACITY_TOLERANCE:
             if (
                 protected_obj is not None
                 and scheme.holds(site, protected_obj)
@@ -92,7 +92,7 @@ def repair_capacity(
                         last_resort=True,
                     )
                 used -= float(instance.sizes[protected_obj])
-            if used > capacities[site] + 1e-9:
+            if used > capacities[site] + CAPACITY_TOLERANCE:
                 raise ReproError(
                     f"site {site} cannot be repaired: only primary copies "
                     "remain but capacity is still exceeded"

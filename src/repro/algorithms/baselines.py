@@ -20,7 +20,7 @@ import numpy as np
 from repro.algorithms.base import ReplicationAlgorithm
 from repro.core.cost import CostModel
 from repro.core.problem import DRPInstance
-from repro.core.scheme import ReplicationScheme
+from repro.core.scheme import CAPACITY_TOLERANCE, ReplicationScheme
 from repro.errors import ValidationError
 from repro.utils.rng import SeedLike, as_generator
 
@@ -101,7 +101,7 @@ class ReadOnlyGreedy(ReplicationAlgorithm):
             gains = np.where(
                 candidates, instance.reads * nearest_cost / sizes[None, :], 0.0
             )
-            gains[sizes[None, :] > remaining[:, None] + 1e-9] = 0.0
+            gains[sizes[None, :] > remaining[:, None] + CAPACITY_TOLERANCE] = 0.0
             best_flat = int(np.argmax(gains))
             site, obj = divmod(best_flat, n)
             if gains[site, obj] <= 0.0:

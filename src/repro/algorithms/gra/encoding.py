@@ -15,6 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.problem import DRPInstance
+from repro.core.scheme import CAPACITY_TOLERANCE
 from repro.errors import ValidationError
 
 
@@ -41,13 +42,13 @@ def gene_loads(instance: DRPInstance, matrix: np.ndarray) -> np.ndarray:
 def gene_valid(instance: DRPInstance, matrix: np.ndarray, site: int) -> bool:
     """Gene validity: the site's replicas fit in its capacity (Section 4)."""
     load = float(np.asarray(matrix[site], dtype=float) @ instance.sizes)
-    return load <= float(instance.capacities[site]) + 1e-9
+    return load <= float(instance.capacities[site]) + CAPACITY_TOLERANCE
 
 
 def chromosome_valid(instance: DRPInstance, matrix: np.ndarray) -> bool:
     """Chromosome validity: every gene valid and every primary present."""
     loads = gene_loads(instance, matrix)
-    if np.any(loads > instance.capacities + 1e-9):
+    if np.any(loads > instance.capacities + CAPACITY_TOLERANCE):
         return False
     n = instance.num_objects
     return bool(np.all(matrix[instance.primaries, np.arange(n)]))
@@ -114,7 +115,7 @@ def perturb_chromosome(
             out[site, obj] = False
             loads[site] -= size
         else:
-            if loads[site] + size > float(instance.capacities[site]) + 1e-9:
+            if loads[site] + size > float(instance.capacities[site]) + CAPACITY_TOLERANCE:
                 continue  # would overflow the gene
             out[site, obj] = True
             loads[site] += size

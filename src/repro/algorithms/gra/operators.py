@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.algorithms.gra.encoding import gene_loads, gene_valid
 from repro.core.problem import DRPInstance
+from repro.core.scheme import CAPACITY_TOLERANCE
 
 Interval = Tuple[int, int]
 
@@ -125,7 +126,7 @@ def mutate(
             out[site, obj] = False
             loads[site] -= sizes[obj]
         else:
-            if loads[site] + sizes[obj] > capacities[site] + 1e-9:
+            if loads[site] + sizes[obj] > capacities[site] + CAPACITY_TOLERANCE:
                 continue  # would violate the storage constraint
             out[site, obj] = True
             loads[site] += sizes[obj]

@@ -26,7 +26,7 @@ import numpy as np
 from repro.algorithms.base import AlgorithmResult, ReplicationAlgorithm
 from repro.core.cost import CostModel
 from repro.core.problem import DRPInstance
-from repro.core.scheme import ReplicationScheme
+from repro.core.scheme import CAPACITY_TOLERANCE, ReplicationScheme
 from repro.errors import ValidationError
 from repro.utils.timers import Stopwatch
 
@@ -108,7 +108,7 @@ class _Search:
             self.nodes += 1
             if cost_so_far + cost + self.suffix_min[depth + 1] >= self.best_cost:
                 break  # options sorted by cost: nothing later can help
-            if np.any(remaining[sites] < size - 1e-9):
+            if np.any(remaining[sites] < size - CAPACITY_TOLERANCE):
                 continue
             remaining[sites] -= size
             choice.append(idx)

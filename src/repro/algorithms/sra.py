@@ -16,9 +16,12 @@ we require strictly positive benefit, which is what the prose specifies
 ("the benefit value is positive") and avoids wasting capacity on
 do-nothing replicas.
 
-The implementation is vectorised: a site visit costs ``O(N)`` numpy work,
-matching the paper's ``O(M + N)`` per-iteration bound up to constant
-factors, for an overall ``O(M^2 N + M N^2)``.
+The implementation is vectorised and keeps ``L_i`` compact: a site's
+first visit costs ``O(N)`` numpy work, every later visit ``O(|L_i|)``
+plus ``O(M)`` when it places a replica — within the paper's ``O(M + N)``
+per-iteration bound, for an overall ``O(M^2 N + M N^2)``.  Memory beyond
+the inputs and the cost model is an ``(N, M)`` float64 nearest-cost
+table and the candidate lists (five values per candidate).
 """
 
 from __future__ import annotations
@@ -101,18 +104,32 @@ class SRA(ReplicationAlgorithm):
         model: CostModel,
         tracer,
     ) -> Tuple[ReplicationScheme, Dict[str, object]]:
-        """The greedy scan over a dense ``(M, N)`` nearest-cost table.
+        """The greedy scan over an object-major nearest-cost table.
+
+        ``nearest[k, i]`` is ``C(i, SN_ik)``, stored ``(N, M)`` so that a
+        placement of object ``k`` rewrites one contiguous row.  Each site
+        keeps its ``L_i`` as a compact list built at its first visit:
+        ascending object ids plus one float64 block holding each
+        candidate's reads, other sites' writes, ``C(i, SP_k)`` and size,
+        so one boolean index prunes them all.  A first visit costs
+        ``O(N)``; every later one costs ``O(|L_i|)`` plus ``O(M)`` for a
+        placement.
 
         Dense instances and sparse problems share the loop; only the
-        per-site read/write rows are fetched differently (matrix rows, or
-        CSR rows densified to the same integers), so both produce the
-        same scheme bit for bit.  Peak extra memory is the float64
-        nearest-cost table plus two boolean matrices; the sparse path
-        never builds the dense ``(M, N)`` count matrices.
+        first-visit read/write rows are fetched differently (matrix rows,
+        or CSR rows densified to the same integers), so both produce the
+        same scheme bit for bit.  ``C`` is read as ``C(i, j)`` with ``i``
+        the reading site (the model's transposed copy serves columns as
+        rows), so costs that are only ``allclose``-symmetric price as
+        before.  Peak extra memory is the float64 ``(N, M)`` table and
+        the candidate lists; the sparse path never builds the dense
+        ``(M, N)`` count matrices.
         """
         ledger = current_ledger()
         m = instance.num_sites
+        n = instance.num_objects
         cost = instance.cost
+        cost_t = model.transposed_cost
         sizes = instance.sizes
         primaries = instance.primaries
         uf = model.update_fraction
@@ -128,16 +145,16 @@ class SRA(ReplicationAlgorithm):
         scheme = ReplicationScheme.primary_only(instance)
         remaining = scheme.remaining_capacity()
 
-        # SN distances: with only primaries placed, SN[:, k] == SP_k.
-        # Advanced indexing yields a fresh array, updated in place per
-        # placement (the scan only ever consumes the distances, so no
-        # replicator-id table is kept).
-        nearest_cost = cost[:, primaries]
+        # SN distances: with only primaries placed, SN[k, i] == C(i, SP_k).
+        nearest = cost_t[primaries]
 
-        # Candidate matrix: L_i as rows.  Objects already held (primaries)
-        # are not candidates.
-        candidates = ~scheme.matrix.copy()
-        active = [i for i in range(m) if candidates[i].any()]
+        # L_i per site, built lazily: objects held at the primary are not
+        # candidates, so a site is active unless it is every object's
+        # primary.
+        cand_objs = [None] * m
+        cand_block = [None] * m
+        held = np.bincount(primaries, minlength=m)
+        active = [i for i in range(m) if held[i] < n]
 
         steps = 0
         visits = 0
@@ -153,28 +170,37 @@ class SRA(ReplicationAlgorithm):
                 pos = cursor % len(active)
             site = active[pos]
 
-            objs = np.nonzero(candidates[site])[0]
+            objs = cand_objs[site]
+            if objs is None:
+                objs = np.flatnonzero(primaries != site)
+                block = np.empty((4, objs.size))
+                block[0] = read_row(site)[objs]
+                block[1] = total_writes[objs] - write_row(site)[objs]
+                block[2] = cost[site, primaries[objs]]
+                block[3] = sizes[objs]
+            else:
+                block = cand_block[site]
             # Benefit of each candidate (Eq. 5, already divided by o_k).
             benefit = eq5_benefit(
-                read_row(site)[objs],
-                nearest_cost[site, objs],
-                total_writes[objs] - write_row(site)[objs],
-                cost[site, primaries[objs]],
-                uf,
+                block[0], nearest[:, site][objs], block[1], block[2], uf
             )
             benefit_evaluations += int(objs.size)
 
-            fits = sizes[objs] <= remaining[site] + CAPACITY_TOLERANCE
-            viable = (benefit > 0.0) & fits
+            # Candidates that are not viable now never will be: benefits
+            # only fall as replicas spread, and capacity only shrinks.
+            keep = (benefit > 0.0) & (
+                block[3] <= remaining[site] + CAPACITY_TOLERANCE
+            )
 
-            # Prune candidates that can never be replicated here any more.
-            dead = objs[(benefit <= 0.0) | ~fits]
-            candidates[site, dead] = False
-
-            if viable.any():
+            # First maximum in ascending object order, as the paper's scan
+            # over L_i.  Non-viable entries cannot win, so a non-viable
+            # winner means nothing here is viable.
+            at = int(np.where(keep, benefit, -np.inf).argmax())
+            if keep[at]:
                 steps += 1
-                viable_objs = objs[viable]
-                best = int(viable_objs[np.argmax(benefit[viable])])
+                best = int(objs[at])
+                gain = float(benefit[at])
+                keep[at] = False
                 scheme.add_replica(site, best)
                 if tracer.enabled:
                     # Eq. 5 benefit of the placement actually taken.
@@ -182,7 +208,7 @@ class SRA(ReplicationAlgorithm):
                         "sra.place",
                         site=site,
                         obj=best,
-                        benefit=float(benefit[viable].max()),
+                        benefit=gain,
                         step=steps,
                     )
                 if ledger.enabled:
@@ -191,19 +217,23 @@ class SRA(ReplicationAlgorithm):
                         obj=best,
                         site=site,
                         algorithm="sra",
-                        benefit=float(benefit[viable].max()),
+                        benefit=gain,
                         step=steps,
                     )
                 replicas_created += 1
                 remaining[site] -= sizes[best]
-                candidates[site, best] = False
                 # Update SN for the new replica's object at every site.
-                closer = cost[:, site] < nearest_cost[:, best]
-                nearest_cost[closer, best] = cost[closer, site]
+                row = nearest[best]
+                from_site = cost_t[site]
+                np.copyto(row, from_site, where=from_site < row)
                 # Objects that no longer fit at this site die lazily on the
                 # next visit; the capacity check above handles them.
 
-            if not candidates[site].any():
+            objs = objs[keep]
+            cand_objs[site] = objs
+            cand_block[site] = block.compress(keep, axis=1)
+
+            if not objs.size:
                 active.pop(pos)
                 # Round-robin continues from the same position (the next
                 # site shifted into it).

@@ -24,6 +24,7 @@ ship 10% of the object per write.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple, Union
 
@@ -93,6 +94,8 @@ class CostModel:
         self._total_write_weight = self._write_weight.sum(axis=0)
         # C(i, SP_k) for every (i, k), shape (M, N).
         self._cost_to_primary = instance.cost[:, instance.primaries]
+        self._cost_t = np.ascontiguousarray(instance.cost.T)
+        self._cost_t.setflags(write=False)
         self._cache: "OrderedDict[Tuple[int, bytes], float]" = OrderedDict()
         self._cache_size = cache_size
         self._hits = 0
@@ -137,6 +140,11 @@ class CostModel:
         """``C(i, SP_k)`` for every ``(i, k)``, shape ``(M, N)``."""
         return self._cost_to_primary
 
+    @property
+    def transposed_cost(self) -> np.ndarray:
+        """C-contiguous ``C.T``: row ``j`` is the column ``C(., j)``."""
+        return self._cost_t
+
     #: whether the full ``(M, N)`` weight matrices are materialised —
     #: :class:`SparseCostModel` keeps only object-column tiles instead
     has_dense_weights = True
@@ -161,6 +169,19 @@ class CostModel:
         """Scalar ``o_k * uf * sum_x w_xk`` of one object."""
         return self._total_write_weight[obj]
 
+    def _columns(self, obj: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """``(read_w, write_w, to_primary, total_w)`` of one object.
+
+        The four operands every per-object kernel needs, fetched with one
+        storage lookup; each equals its single-column accessor.
+        """
+        return (
+            self._read_weight[:, obj],
+            self._write_weight[:, obj],
+            self._cost_to_primary[:, obj],
+            self._total_write_weight[obj],
+        )
+
     # ------------------------------------------------------------------ #
     # per-object costs
     # ------------------------------------------------------------------ #
@@ -180,27 +201,23 @@ class CostModel:
     def _object_cost(self, obj: int, column: np.ndarray) -> float:
         mask = np.asarray(column, dtype=bool)
         reps = np.nonzero(mask)[0]
-        cost = self._instance.cost
+        read_w, write_w, to_primary, total_w = self._columns(obj)
         # Reads: every site reads from its nearest replicator; replicator
         # rows contribute zero because min cost over reps includes self.
+        # Rows of the transposed cost are the columns C(., j), gathered
+        # contiguously; a min is exact in any order.
         # The weight column is copied contiguous before the dot: BLAS
         # picks its ddot kernel (and with it the accumulation order) by
         # operand stride, and the dense and tile-backed models store the
         # column at different strides — the copy pins every evaluation
         # path to the unit-stride kernel so costs stay bit-identical on
         # non-integer cost matrices.
-        nearest_cost = cost[:, reps].min(axis=1)
-        read_term = float(
-            np.ascontiguousarray(self.read_weight_col(obj)) @ nearest_cost
-        )
+        nearest_cost = self._cost_t[reps].min(axis=0)
+        read_term = float(np.ascontiguousarray(read_w) @ nearest_cost)
         # Writes: non-replicators ship their own writes to the primary;
         # replicators are charged for all writes (own + received updates).
-        to_primary = self.cost_to_primary_col(obj)
-        write_w = self.write_weight_col(obj)
         nonrep_writes = float(write_w[~mask] @ to_primary[~mask])
-        rep_writes = float(
-            to_primary[mask].sum() * self.total_write_weight_of(obj)
-        )
+        rep_writes = float(to_primary[mask].sum() * total_w)
         return read_term + nonrep_writes + rep_writes
 
     def object_cost_cached(
@@ -357,12 +374,9 @@ class CostModel:
                 self._cache.move_to_end(key)
                 self._record_hit()
                 unique_costs[idx] = hit
-        cost = self._instance.cost
+        cost_t = self._cost_t
         m = self._instance.num_sites
-        to_primary = self.cost_to_primary_col(obj)
-        read_w = self.read_weight_col(obj)
-        write_w = self.write_weight_col(obj)
-        total_w = self.total_write_weight_of(obj)
+        read_w, write_w, to_primary, total_w = self._columns(obj)
         for start in range(0, len(misses), chunk):
             block = misses[start:start + chunk]
             mask = unique[block]  # (b, M)
@@ -374,7 +388,7 @@ class CostModel:
             for offset in range(len(block)):
                 reps = np.nonzero(mask[offset])[0]
                 if reps.size:
-                    nearest[offset] = cost[:, reps].min(axis=1)
+                    nearest[offset] = cost_t[reps].min(axis=0)
             read_term = nearest @ read_w
             nonrep = (~mask) @ (write_w * to_primary)
             rep = (mask @ to_primary) * total_w
@@ -625,6 +639,8 @@ class SparseCostModel(CostModel):
                 "with dense_block); use CostModel for dense instances"
             )
         self._instance = problem
+        self._cost_t = np.ascontiguousarray(problem.cost.T)
+        self._cost_t.setflags(write=False)
         self._uf = check_fraction(
             "update_fraction", update_fraction, allow_zero=True
         )
@@ -652,15 +668,8 @@ class SparseCostModel(CostModel):
     # ------------------------------------------------------------------ #
     def _tile(self, obj: int):
         """``(start, (rw, ww, ctp, tw))`` of the tile holding ``obj``."""
-        starts = self._tile_starts
-        lo, hi = 0, len(starts)
-        while hi - lo > 1:  # rightmost start <= obj
-            mid = (lo + hi) // 2
-            if starts[mid] <= obj:
-                lo = mid
-            else:
-                hi = mid
-        start = starts[lo]
+        lo = bisect_right(self._tile_starts, obj) - 1  # rightmost start <= obj
+        start = self._tile_starts[lo]
         entry = self._tiles.get(start)
         if entry is None:
             entry = self._build_tile(lo)
@@ -720,6 +729,11 @@ class SparseCostModel(CostModel):
     def total_write_weight_of(self, obj: int) -> float:
         start, (_, _, _, tw) = self._tile(obj)
         return tw[obj - start]
+
+    def _columns(self, obj: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        start, (rw, ww, ctp, tw) = self._tile(obj)
+        col = obj - start
+        return rw[:, col], ww[:, col], ctp[:, col], tw[col]
 
     # The dense matrix properties would silently re-materialise the
     # O(M*N) arrays this model exists to avoid; fail loudly instead.

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.incremental import eq5_benefit
 from repro.core.problem import DRPInstance
+from repro.core.scheme import CAPACITY_TOLERANCE
 from repro.errors import ProtocolError
 
 
@@ -49,7 +50,7 @@ class SiteNode:
         self.replicas.add(obj)
         self.candidates.discard(obj)
         self.remaining -= float(self._sizes[obj])
-        if self.remaining < -1e-9:
+        if self.remaining < -CAPACITY_TOLERANCE:
             raise ProtocolError(
                 f"site {self.site} cannot store its primary copies"
             )
@@ -90,7 +91,7 @@ class SiteNode:
         # Sorted iteration keeps tie-breaking identical to the centralised
         # SRA (numpy argmax returns the lowest index).
         for obj in sorted(self.candidates):
-            fits = float(self._sizes[obj]) <= self.remaining + 1e-9
+            fits = float(self._sizes[obj]) <= self.remaining + CAPACITY_TOLERANCE
             value = self.benefit(obj)
             if value <= 0.0 or not fits:
                 dead.append(obj)

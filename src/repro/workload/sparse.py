@@ -278,9 +278,10 @@ class SparseProblem:
 
     Shapes mirror :class:`~repro.core.problem.DRPInstance`; ``reads`` and
     ``writes`` are :class:`SparseCounts`.  The network-side arrays are
-    validated exactly like the dense instance (square symmetric cost with
-    zero diagonal, positive sizes, in-range primaries, primary copies
-    that fit their sites).
+    validated like the dense instance (square, finite, non-negative cost
+    with zero diagonal, positive sizes, in-range primaries, primary copies
+    that fit their sites), except that the cost must be exactly symmetric
+    rather than ``allclose``-symmetric.
     """
 
     def __init__(
@@ -302,6 +303,12 @@ class SparseProblem:
             raise ValidationError(
                 f"cost must be square, got shape {self._cost.shape}"
             )
+        # Before the symmetry check, which NaN fails only by accident and
+        # an inf link passes (its Eq. 5 benefits are inf - inf = NaN).
+        if not np.all(np.isfinite(self._cost)):
+            raise ValidationError("cost must be finite")
+        if np.any(self._cost < 0):
+            raise ValidationError("cost must be non-negative")
         if not np.array_equal(self._cost, self._cost.T):
             raise ValidationError("cost matrix must be symmetric")
         if np.any(np.diagonal(self._cost) != 0.0):

@@ -228,3 +228,47 @@ class TestSparseProblem:
                 writes=good.writes,
                 primaries=good.primaries,
             )
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.inf, "cost must be finite"),
+            (np.nan, "cost must be finite"),
+            (-1.0, "cost must be non-negative"),
+        ],
+    )
+    def test_rejects_non_finite_and_negative_cost(
+        self, dense_instance, bad, message
+    ):
+        # Symmetric on purpose: the value check must not lean on the
+        # symmetry check (NaN != NaN used to fail it only by accident).
+        good = SparseProblem.from_instance(dense_instance)
+        cost = good.cost.copy()
+        cost[0, 1] = cost[1, 0] = bad
+        with pytest.raises(ValidationError, match=message):
+            SparseProblem(
+                cost=cost,
+                sizes=good.sizes,
+                capacities=good.capacities,
+                reads=good.reads,
+                writes=good.writes,
+                primaries=good.primaries,
+            )
+
+    def test_inf_link_is_rejected_before_sra_can_stall(self):
+        # Three sites, one severed link: constructing the problem used to
+        # succeed and SRA().run then never terminated (inf - inf benefits
+        # are NaN, neither viable nor pruned).
+        cost = np.array(
+            [[0.0, 1.0, np.inf], [1.0, 0.0, 2.0], [np.inf, 2.0, 0.0]]
+        )
+        counts = SparseCounts.from_dense(np.ones((3, 2), dtype=np.int64))
+        with pytest.raises(ValidationError, match="finite"):
+            SparseProblem(
+                cost=cost,
+                sizes=np.array([1, 1]),
+                capacities=np.array([5, 5, 5]),
+                reads=counts,
+                writes=counts,
+                primaries=np.array([0, 1]),
+            )
