@@ -27,49 +27,82 @@ Quickstart
 True
 """
 
+import importlib
+
 from repro.version import __version__
 
-from repro.core import (
-    CostModel,
-    DRPInstance,
-    ReplicationScheme,
-    benefit_matrix,
-    deallocation_estimate,
-    fitness_from_costs,
-    replication_benefit,
-    savings_percent,
-)
-from repro.algorithms import (
-    AGRA,
-    AGRAParams,
-    AlgorithmResult,
-    GAParams,
-    GRA,
-    NoReplication,
-    RandomReplication,
-    ReadOnlyGreedy,
-    ReplicationAlgorithm,
-    SRA,
-    solve_optimal,
-)
-from repro.network import Topology, paper_cost_matrix
-from repro.workload import (
-    PatternChange,
-    Request,
-    WorkloadSpec,
-    apply_pattern_change,
-    generate_instance,
-    generate_instances,
-    generate_trace,
-)
-from repro.distributed import DistributedSRA
-from repro.sim import (
-    AdaptiveReplicationLoop,
-    ReplicaSystem,
-    SimulationMetrics,
-    Simulator,
-)
-from repro.experiments import get_profile, run_figure
+#: public name -> the subpackage it is re-exported from.  Names resolve
+#: on first access (PEP 562), so ``import repro.cli`` does not pay for
+#: the simulator, the experiment harness or the distributed protocols.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "CostModel",
+            "DRPInstance",
+            "ReplicationScheme",
+            "benefit_matrix",
+            "deallocation_estimate",
+            "fitness_from_costs",
+            "replication_benefit",
+            "savings_percent",
+        ),
+        "repro.core",
+    ),
+    **dict.fromkeys(
+        (
+            "AGRA",
+            "AGRAParams",
+            "AlgorithmResult",
+            "GAParams",
+            "GRA",
+            "NoReplication",
+            "RandomReplication",
+            "ReadOnlyGreedy",
+            "ReplicationAlgorithm",
+            "SRA",
+            "solve_optimal",
+        ),
+        "repro.algorithms",
+    ),
+    **dict.fromkeys(("Topology", "paper_cost_matrix"), "repro.network"),
+    **dict.fromkeys(
+        (
+            "PatternChange",
+            "Request",
+            "WorkloadSpec",
+            "apply_pattern_change",
+            "generate_instance",
+            "generate_instances",
+            "generate_trace",
+        ),
+        "repro.workload",
+    ),
+    "DistributedSRA": "repro.distributed",
+    **dict.fromkeys(
+        (
+            "AdaptiveReplicationLoop",
+            "ReplicaSystem",
+            "SimulationMetrics",
+            "Simulator",
+        ),
+        "repro.sim",
+    ),
+    **dict.fromkeys(("get_profile", "run_figure"), "repro.experiments"),
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "__version__",

@@ -4,6 +4,9 @@ The paper reports bare means over 15 random networks; these helpers add
 the error bars: t-based confidence intervals and paired comparisons
 (both algorithms always run on the *same* networks in this library's
 harness, so pairing is the statistically right move).
+
+``scipy.stats`` costs most of a cold ``repro`` start, so it is imported
+at the two call sites that need it rather than at module level.
 """
 
 from __future__ import annotations
@@ -13,9 +16,18 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import ValidationError
+
+
+def _require_finite(arr: np.ndarray, name: str) -> None:
+    # NaN or inf would propagate silently into an all-NaN summary or a
+    # NaN p-value; refuse them at the boundary instead
+    if not np.isfinite(arr).all():
+        bad = arr[~np.isfinite(arr)][0]
+        raise ValidationError(
+            f"{name} must be finite; got {float(bad)!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -50,6 +62,7 @@ def summarize(
     arr = np.asarray(list(values), dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("values must be a non-empty sequence")
+    _require_finite(arr, "values")
     if not 0.0 < confidence < 1.0:
         raise ValidationError(
             f"confidence must lie in (0, 1), got {confidence}"
@@ -60,6 +73,8 @@ def summarize(
             count=1, mean=mean, std=0.0, minimum=mean, maximum=mean,
             ci_low=mean, ci_high=mean, confidence=confidence,
         )
+    from scipy import stats as scipy_stats
+
     std = float(arr.std(ddof=1))
     sem = std / math.sqrt(arr.size)
     t_crit = float(scipy_stats.t.ppf((1 + confidence) / 2, arr.size - 1))
@@ -112,6 +127,8 @@ def paired_comparison(
         raise ValidationError(
             "paired samples must be equal-length 1-D sequences of >= 2"
         )
+    _require_finite(a_arr, "a")
+    _require_finite(b_arr, "b")
     diff = a_arr - b_arr
     summary = summarize(diff, confidence)
     if np.allclose(diff, diff[0]):
@@ -119,6 +136,8 @@ def paired_comparison(
         # non-zero difference as maximally significant
         p_value = 0.0 if abs(float(diff[0])) > tie_tolerance else 1.0
     else:
+        from scipy import stats as scipy_stats
+
         _, p_value = scipy_stats.ttest_rel(a_arr, b_arr)
         p_value = float(p_value)
     return PairedComparison(

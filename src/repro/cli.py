@@ -57,7 +57,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis import compare_algorithms
 from repro.core import CostModel
 from repro.errors import ReproError
 from repro.io import (
@@ -72,11 +71,9 @@ from repro.runtime import (
     default_registry,
     runtime_session,
 )
-from repro.sim import FaultInjector, ReplicaSystem, Simulator
 from repro.utils.telemetry import current_sink
 from repro.version import __version__
 from repro.workload import WorkloadSpec, generate_instance, generate_instances
-from repro.workload.trace import generate_trace
 
 
 def _solve_choices() -> List[str]:
@@ -450,6 +447,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.sim import FaultInjector, ReplicaSystem, Simulator
+    from repro.workload.trace import generate_trace
+
     # the context is built before the replay machinery so the fault plan
     # it carries can be installed ahead of the session
     ctx = context_from_args(args)
@@ -492,6 +492,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis import compare_algorithms
+
     labels = args.algorithm or ["sra", "gra"]
     spec = WorkloadSpec(
         num_sites=args.sites,
@@ -532,8 +534,10 @@ def _fault_replay_section(
     fresh :class:`FaultInjector` — so the table shows how each
     algorithm's placements hold up when the network degrades.
     """
+    from repro.sim import FaultInjector, ReplicaSystem
     from repro.utils.rng import spawn_seeds
     from repro.utils.tables import format_table
+    from repro.workload.trace import generate_trace
 
     rows = []
     labels = list(factories)

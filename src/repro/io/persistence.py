@@ -8,13 +8,20 @@ functions accept a path (``str`` or ``pathlib.Path``).
 from __future__ import annotations
 
 import json
+import os
+import threading
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
-from repro.experiments.figures import FigureResult
+
+if TYPE_CHECKING:
+    # imported where used: the experiments package pulls in the
+    # simulator and every algorithm, which instance and scheme files
+    # never need
+    from repro.experiments.figures import FigureResult
 
 PathLike = Union[str, Path]
 
@@ -26,11 +33,23 @@ _KIND_FIGURE = "repro/figure-result"
 
 
 def _write(path: PathLike, document: dict) -> Path:
+    # Write a sibling temp file and rename it over the target, so a
+    # failure mid-write never leaves a truncated or half-written file.
+    # The name is unique per writing thread; plain open() keeps the
+    # umask-derived permissions a direct write would have had.
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+    )
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -43,6 +62,12 @@ def _read(path: PathLike, expected_kind: str) -> dict:
         raise ValidationError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot read {path}: {exc.strerror or exc}"
+        ) from None
     if not isinstance(document, dict):
         raise ValidationError(f"{path} does not contain a JSON object")
     kind = document.get("kind")
@@ -120,6 +145,8 @@ def save_figure_result(result: FigureResult, path: PathLike) -> Path:
 
 def load_figure_result(path: PathLike) -> FigureResult:
     """Read a figure written by :func:`save_figure_result`."""
+    from repro.experiments.figures import FigureResult
+
     document = _read(path, _KIND_FIGURE)
     data = document["data"]
     return FigureResult(

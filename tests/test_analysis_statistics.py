@@ -85,6 +85,20 @@ def test_paired_validation():
         paired_comparison([1.0, 2.0], [1.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_summarize_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        summarize([1.0, bad, 2.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_paired_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        paired_comparison([1.0, bad, 3.0], [0.0, 1.0, 2.0])
+    with pytest.raises(ValidationError, match="finite"):
+        paired_comparison([1.0, 2.0, 3.0], [0.0, bad, 2.0])
+
+
 def test_paired_summary_string():
     text = paired_comparison([1.0, 2.0, 3.0], [0.0, 1.0, 2.0]).summary()
     assert "wins" in text

@@ -94,6 +94,22 @@ def test_missing_file_is_clean_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_binary_instance_file_is_clean_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_bytes(b"\xff\xfe\x00\x81 not text")
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "not UTF-8 text" in captured.err
+
+
+def test_directory_as_instance_is_clean_error(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "cannot read" in captured.err
+
+
 def test_figures_delegates(capsys):
     assert main(["figures"]) == 2  # no figure selected: help + exit 2
     assert "repro-experiments" in capsys.readouterr().out

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.algorithms import SRA
 from repro.errors import ValidationError
 from repro.experiments.figures import FigureResult
+from repro.io import persistence
 from repro.io import (
     load_figure_result,
     load_instance,
@@ -92,3 +94,42 @@ def test_string_paths_accepted(small_instance, tmp_path):
     path = str(tmp_path / "inst.json")
     save_instance(small_instance, path)
     assert load_instance(path) == small_instance
+
+
+def test_unreadable_file_is_validation_error(tmp_path, monkeypatch):
+    path = tmp_path / "inst.json"
+    path.write_text("{}", encoding="utf-8")
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "open", denied)
+    with pytest.raises(ValidationError, match="Permission denied"):
+        load_instance(path)
+
+
+def test_failed_write_leaves_target_untouched(small_instance, tmp_path,
+                                              monkeypatch):
+    path = save_instance(small_instance, tmp_path / "inst.json")
+    before = path.read_bytes()
+
+    def broken_dump(document, handle, **kwargs):
+        handle.write('{"kind": "half-written')
+        raise RuntimeError("serialisation failed")
+
+    monkeypatch.setattr(persistence.json, "dump", broken_dump)
+    with pytest.raises(RuntimeError, match="serialisation failed"):
+        save_instance(small_instance, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+def test_failed_first_write_creates_nothing(small_instance, tmp_path,
+                                            monkeypatch):
+    def broken_dump(document, handle, **kwargs):
+        raise TypeError("not serialisable")
+
+    monkeypatch.setattr(persistence.json, "dump", broken_dump)
+    with pytest.raises(TypeError):
+        save_instance(small_instance, tmp_path / "inst.json")
+    assert list(tmp_path.iterdir()) == []
