@@ -3,7 +3,7 @@
 .PHONY: install test bench figures claims examples export clean
 
 install:
-	pip install -e . || python setup.py develop
+	pip install -e .
 
 test:
 	pytest tests/

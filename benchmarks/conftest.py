@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.regression import write_bench_artifact
 from repro.experiments.config import get_profile
 
 
@@ -19,14 +18,3 @@ from repro.experiments.config import get_profile
 def profile():
     return get_profile()
 
-
-@pytest.fixture(scope="session")
-def bench_writer():
-    """The one artifact writer every ``BENCH_*.json`` goes through.
-
-    All artifacts share the unified schema (``benchmark`` /
-    ``algorithms`` list / ``results``); suites must not hand-roll their
-    own ``json.dump`` — schema drift between artifacts is exactly what
-    this fixture retired.
-    """
-    return write_bench_artifact

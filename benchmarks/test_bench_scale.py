@@ -19,6 +19,7 @@ it.
 
 from __future__ import annotations
 
+import json
 import os
 import resource
 import time
@@ -83,18 +84,36 @@ def _run_tier(tier: str) -> Dict[str, object]:
     }
 
 
-def _write_artifact(bench_writer, records: List[Dict[str, object]]) -> str:
-    """Artifact in the unified schema; ``merge_on`` lets the slow large
-    tier accumulate next to previously recorded quick tiers."""
-    artifact = os.environ.get(ARTIFACT_ENV_VAR, "BENCH_scale.json")
-    return bench_writer(
-        artifact,
-        benchmark="scale-path",
-        algorithms=["SRA"],
-        results=records,
-        extra={"overlap_identity_checked": True},
-        merge_on="tier",
-    )
+def _write_artifact(records: List[Dict[str, object]]) -> str:
+    """Write the ``BENCH_scale.json`` artifact; returns its path.
+
+    Schema: ``benchmark`` / ``algorithms`` list / ``results`` plus
+    ``overlap_identity_checked``.  Records already in the file whose
+    ``tier`` is not being rewritten are kept, so the slow large tier
+    accumulates next to previously recorded quick tiers.
+    """
+    path = os.environ.get(ARTIFACT_ENV_VAR, "BENCH_scale.json")
+    tiers = {record["tier"] for record in records}
+    kept: List[Dict[str, object]] = []
+    if os.path.exists(path):
+        try:
+            with open(path, encoding="utf-8") as fp:
+                kept = [
+                    record
+                    for record in json.load(fp).get("results", [])
+                    if record.get("tier") not in tiers
+                ]
+        except (ValueError, OSError):
+            kept = []
+    payload = {
+        "benchmark": "scale-path",
+        "algorithms": ["SRA"],
+        "results": kept + records,
+        "overlap_identity_checked": True,
+    }
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(payload, fp, indent=2, sort_keys=True)
+    return path
 
 
 def test_sparse_bit_identity_on_overlap_size():
@@ -125,7 +144,7 @@ def test_sparse_bit_identity_on_overlap_size():
     assert sparse_run.total_cost == dense_run.total_cost
 
 
-def test_scale_tiers_complete_within_budget(bench_writer):
+def test_scale_tiers_complete_within_budget():
     records = []
     for tier in _tiers():
         record = _run_tier(tier)
@@ -138,15 +157,15 @@ def test_scale_tiers_complete_within_budget(bench_writer):
             f"heap_peak={record['heap_peak_bytes'] / 1e6:.0f}MB "
             f"maxrss={record['ru_maxrss_kb'] / 1024:.0f}MB"
         )
-    artifact = _write_artifact(bench_writer, records)
+    artifact = _write_artifact(records)
     assert os.path.exists(artifact)
 
 
 @pytest.mark.slow
-def test_scale_large_tier_end_to_end(bench_writer):
+def test_scale_large_tier_end_to_end():
     """M=1024, N=10k SRA end to end on the sparse path (the slow tier)."""
     record = _run_tier("large")
-    artifact = _write_artifact(bench_writer, [record])
+    artifact = _write_artifact([record])
     print(
         f"\nscale[large]: gen={record['generate_seconds']:.2f}s "
         f"solve={record['solve_seconds']:.2f}s "

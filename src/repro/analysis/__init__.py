@@ -14,16 +14,6 @@ from repro.analysis.statistics import (
     summarize,
 )
 from repro.analysis.comparison import ComparisonReport, compare_algorithms
-from repro.analysis.regression import (
-    BenchDelta,
-    RegressionReport,
-    compare_entries,
-    load_history,
-    normalize_bench_artifact,
-    record_entry,
-    render_report,
-    write_bench_artifact,
-)
 from repro.analysis.sensitivity import (
     SensitivityResult,
     sweep_ga_parameter,
@@ -39,12 +29,4 @@ __all__ = [
     "compare_algorithms",
     "SensitivityResult",
     "sweep_ga_parameter",
-    "BenchDelta",
-    "RegressionReport",
-    "compare_entries",
-    "load_history",
-    "normalize_bench_artifact",
-    "record_entry",
-    "render_report",
-    "write_bench_artifact",
 ]

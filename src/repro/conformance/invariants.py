@@ -37,7 +37,6 @@ from repro.core.benefit import (
     deallocation_estimates_for_site,
 )
 from repro.core.cost import CostModel
-from repro.core.incremental import IncrementalCostEvaluator
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
@@ -305,7 +304,7 @@ def _check_sra_benefit_ordering(ctx: ConformanceContext) -> List[str]:
 @invariant(
     "eq5-eq6-consistency",
     "the Eq. 5 benefit and Eq. 6 estimate are one arithmetic across the "
-    "matrix, blocked, and evaluator implementations",
+    "matrix, blocked, scalar and vector implementations",
 )
 def _check_eq5_eq6_consistency(ctx: ConformanceContext) -> List[str]:
     out: List[str] = []
@@ -323,21 +322,6 @@ def _check_eq5_eq6_consistency(ctx: ConformanceContext) -> List[str]:
             f"benefit_matrix_blocked differs from benefit_matrix at "
             f"{len(bad[0])} cells (first: {bad[0][0]}, {bad[1][0]})"
         )
-    evaluator = IncrementalCostEvaluator(ctx.model, p0)
-    try:
-        for site in range(instance.num_sites):
-            objs = np.nonzero(~p0.matrix[site])[0]
-            if objs.size == 0:
-                continue
-            via_evaluator = evaluator.benefits(site, objs)
-            if not np.array_equal(via_evaluator, full[site, objs]):
-                out.append(
-                    f"evaluator.benefits at site {site} diverges from "
-                    f"benefit_matrix"
-                )
-                break
-    finally:
-        evaluator.detach()
     scheme = ctx.scheme
     for site in range(instance.num_sites):
         vec = deallocation_estimates_for_site(

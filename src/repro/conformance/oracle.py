@@ -196,8 +196,9 @@ def evaluate_paths(
         )
     )
 
-    # Replay the target scheme replica-by-replica through the evaluator:
-    # exercises every delta kernel, must land on the same floats.
+    # Replay the target scheme replica by replica onto a scheme the
+    # evaluator listens to (the path local search takes): exercises the
+    # listener's state maintenance, must land on the same floats.
     replay_scheme = ReplicationScheme.primary_only(instance)
     evaluator = IncrementalCostEvaluator(model, replay_scheme)
     try:
@@ -205,7 +206,7 @@ def evaluate_paths(
         base = replay_scheme.matrix.copy()
         extra_sites, extra_objs = np.nonzero(target & ~base)
         for site, obj in zip(extra_sites, extra_objs):
-            evaluator.apply_add(int(site), int(obj))
+            replay_scheme.add_replica(int(site), int(obj))
         results.append(
             PathResult(
                 "incremental-replay",

@@ -320,6 +320,12 @@ def load_artifact(path: str) -> Dict[str, object]:
             f"{path} is not valid JSON ({exc}); expected a "
             f"`repro conform shrink` artifact"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot read {path}: {exc.strerror or exc}"
+        ) from None
     if not isinstance(data, dict) or data.get("kind") != ARTIFACT_KIND:
         raise ValidationError(
             f"{path} is not a conformance shrink artifact "

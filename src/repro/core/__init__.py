@@ -21,11 +21,7 @@ from repro.core.benefit import (
     replication_benefit,
 )
 from repro.core.fitness import fitness_from_costs, savings_percent
-from repro.core.incremental import (
-    IncrementalCostEvaluator,
-    Move,
-    eq5_benefit,
-)
+from repro.core.incremental import IncrementalCostEvaluator, eq5_benefit
 from repro.core.strategies import WriteStrategy, compare_strategies
 
 __all__ = [
@@ -37,7 +33,6 @@ __all__ = [
     "SparseCostModel",
     "cost_model_for",
     "IncrementalCostEvaluator",
-    "Move",
     "eq5_benefit",
     "replication_benefit",
     "benefit_matrix",

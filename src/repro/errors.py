@@ -39,33 +39,6 @@ class PrimaryCopyError(ReproError):
         )
 
 
-class StaleEvaluatorError(ReproError):
-    """An incremental-evaluator move was applied against a changed scheme.
-
-    Raised by :meth:`repro.core.incremental.IncrementalCostEvaluator.apply`
-    when the scheme mutated (directly or through another move) after the
-    move's delta was priced, so applying it would silently account costs
-    against a state that no longer exists.  Re-price the move against the
-    current state instead.
-    """
-
-    def __init__(
-        self,
-        move_version: "int | None" = None,
-        current_version: "int | None" = None,
-        message: "str | None" = None,
-    ) -> None:
-        self.move_version = move_version
-        self.current_version = current_version
-        if message is None:
-            message = (
-                f"move was priced against evaluator state "
-                f"v{move_version} but the scheme is now at "
-                f"v{current_version}; re-price the move"
-            )
-        super().__init__(message)
-
-
 class InfeasibleProblemError(ReproError):
     """The DRP instance admits no feasible replication scheme.
 

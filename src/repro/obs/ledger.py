@@ -187,6 +187,12 @@ def read_ledger(path: str) -> List[Entry]:
             content = fp.read()
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot read {path}: {exc.strerror or exc}"
+        ) from None
     entries: List[Entry] = []
     for line in content.splitlines():
         line = line.strip()

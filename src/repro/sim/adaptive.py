@@ -26,7 +26,6 @@ import numpy as np
 from repro.algorithms.agra.params import AGRAParams, PAPER_AGRA_PARAMS
 from repro.algorithms.gra.params import GAParams, PAPER_PARAMS
 from repro.core.cost import CostModel
-from repro.core.incremental import IncrementalCostEvaluator
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
@@ -106,12 +105,6 @@ class AdaptiveReplicationLoop:
         or before epoch ``i`` apply at the start of epoch ``i``.  While
         sites are down, AGRA reallocation onto them is deferred and
         re-realised once they recover.
-
-    One live :class:`~repro.core.incremental.IncrementalCostEvaluator`
-    stays attached to the deployed scheme across all epochs: scheme
-    realisations update it through the change listener, and each epoch's
-    drifted patterns are adopted with ``rebind_model`` (O(M*N)) instead
-    of pricing the deployed scheme from scratch.
     """
 
     def __init__(
@@ -146,7 +139,6 @@ class AdaptiveReplicationLoop:
         # A target scheme whose realisation was cut short by failures;
         # retried at every epoch boundary until it fully lands.
         self._pending: Optional[ReplicationScheme] = None
-        self._evaluator: Optional[IncrementalCostEvaluator] = None
 
     # ------------------------------------------------------------------ #
     def run(self, epochs: Sequence[DRPInstance]) -> AdaptiveLoopReport:
@@ -173,7 +165,7 @@ class AdaptiveReplicationLoop:
             measured = self.system.metrics.request_ntc - before_ntc
 
             model = CostModel(epoch_instance)
-            current_cost = self._deployed_cost(model)
+            current_cost = model.total_cost(self.system.scheme)
             savings = self._savings_percent(model, current_cost)
 
             # Monitor: compare observed patterns with the assumed ones.
@@ -260,25 +252,6 @@ class AdaptiveReplicationLoop:
         )
 
     # ------------------------------------------------------------------ #
-    def _deployed_cost(self, model: CostModel) -> float:
-        """``D`` of the deployed scheme under this epoch's patterns.
-
-        The live evaluator already maintains the deployed scheme's
-        per-object terms; adopting the epoch's model is one
-        ``rebind_model`` (the network is fixed across epochs — only
-        patterns drift).
-        """
-        if self._evaluator is None:
-            # The evaluator must be born against the scheme's own
-            # instance; the epoch's drifted patterns are adopted right
-            # after through the rebind below.
-            self._evaluator = IncrementalCostEvaluator(
-                CostModel(self.system.scheme.instance),
-                self.system.scheme,
-            )
-        self._evaluator.rebind_model(model)
-        return self._evaluator.total_cost()
-
     def _savings_percent(self, model: CostModel, cost: float) -> float:
         """``CostModel.savings_percent`` from an already-known total."""
         d_prime = model.d_prime()

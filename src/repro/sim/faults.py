@@ -372,6 +372,12 @@ def load_fault_plan(path: str) -> FaultPlan:
         raise FaultPlanError(f"no such fault plan: {path}") from None
     except json.JSONDecodeError as exc:
         raise FaultPlanError(f"{path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FaultPlanError(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise FaultPlanError(
+            f"cannot read fault plan {path}: {exc.strerror or exc}"
+        ) from None
     return FaultPlan.from_dict(data)
 
 

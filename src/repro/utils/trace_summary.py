@@ -178,7 +178,7 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
     as ``cost.delta`` events: GA delta chains emit one per batched
     generation carrying ``chained``, and live evaluators emit a sampled
     event every ~1024 priced deltas carrying cumulative
-    ``priced``/``applied``/``reverted`` counters (so those columns are
+    ``priced``/``applied`` counters (so those columns are
     lower bounds, refreshed per sample).  ``None`` when the trace holds
     neither.
     """
@@ -189,7 +189,7 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
             batch_calls += 1
             batch_rows += int(node.attrs.get("rows", 0) or 0)
     chained = 0
-    priced = applied = reverted = 0
+    priced = applied = 0
     delta_events = 0
     for event in summary.events:
         if event.get("name") != COST_DELTA_EVENT:
@@ -201,7 +201,6 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
         # the running total, so keep the maximum seen.
         priced = max(priced, int(attrs.get("priced", 0) or 0))
         applied = max(applied, int(attrs.get("applied", 0) or 0))
-        reverted = max(reverted, int(attrs.get("reverted", 0) or 0))
     if not batch_calls and not delta_events:
         return None
     return {
@@ -211,7 +210,6 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
         "chained_columns": chained,
         "priced_deltas": priced,
         "applied_moves": applied,
-        "reverted_moves": reverted,
     }
 
 
@@ -316,7 +314,6 @@ def render_summary(
             f"  incremental: chained_columns={mix['chained_columns']} "
             f"priced_deltas>={mix['priced_deltas']} "
             f"applied>={mix['applied_moves']} "
-            f"reverted>={mix['reverted_moves']} "
             f"(events={mix['delta_events']}, sampled)"
         )
 

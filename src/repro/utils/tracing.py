@@ -474,6 +474,12 @@ def read_trace(path: str) -> Dict[str, object]:
             content = fp.read()
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot read {path}: {exc.strerror or exc}"
+        ) from None
     stripped = content.lstrip()
     if stripped.startswith("{") and '"traceEvents"' in stripped[:2000]:
         try:

@@ -110,6 +110,38 @@ def test_directory_as_instance_is_clean_error(tmp_path, capsys):
     assert "cannot read" in captured.err
 
 
+#: every other reader of a user-named file: argv for a path ``P``
+_FILE_READERS = {
+    "trace": lambda p, tmp: ["trace", p],
+    "explain": lambda p, tmp: ["explain", p, "--object", "0"],
+    "faults": lambda p, tmp: [
+        "generate", "--sites", "4", "--objects", "4",
+        "-o", str(tmp / "out.json"), "--faults", p,
+    ],
+    "shrink-artifact": lambda p, tmp: ["conform", "shrink", "--artifact", p],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_FILE_READERS))
+def test_binary_file_to_reader_is_clean_error(reader, tmp_path, capsys):
+    path = tmp_path / "bin.dat"
+    path.write_bytes(b"\xff\xfe\x00\x81 not text")
+    assert main(_FILE_READERS[reader](str(path), tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "not UTF-8 text" in captured.err
+
+
+@pytest.mark.parametrize("reader", sorted(_FILE_READERS))
+def test_directory_to_reader_is_clean_error(reader, tmp_path, capsys):
+    target = tmp_path / "adir"
+    target.mkdir()
+    assert main(_FILE_READERS[reader](str(target), tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "cannot read" in captured.err
+
+
 def test_figures_delegates(capsys):
     assert main(["figures"]) == 2  # no figure selected: help + exit 2
     assert "repro-experiments" in capsys.readouterr().out

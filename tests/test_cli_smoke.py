@@ -2,8 +2,8 @@
 
 Exit-code contract: ``--help`` always exits 0 (argparse raises
 SystemExit); a bare parent of a grouped subcommand prints usage and
-exits 2; domain errors exit 1; bootstrap states (empty bench ledger)
-exit 0 with guidance; missing shrink inputs exit 2 with guidance.
+exits 2; domain errors exit 1; missing shrink inputs exit 2 with
+guidance.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ SUBCOMMANDS = [
     ["compare"],
     ["figures"],
     ["trace"],
-    ["bench"],
-    ["bench", "record"],
-    ["bench", "report"],
-    ["bench", "check"],
     ["conform"],
     ["conform", "run"],
     ["conform", "corpus"],
@@ -44,10 +40,18 @@ def test_help_exits_zero(argv, capsys):
     assert "usage:" in out
 
 
-@pytest.mark.parametrize("parent", [["bench"], ["conform"]])
+@pytest.mark.parametrize("parent", [["conform"]])
 def test_bare_group_parent_prints_usage_and_exits_2(parent, capsys):
     assert main(parent) == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def test_retired_bench_subcommand_rejected(capsys):
+    """The wall-clock ledger is retired; ``python -m bench`` replaced it."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected(capsys):
@@ -65,23 +69,6 @@ def test_solve_missing_instance_is_domain_error(tmp_path, capsys):
 def test_trace_missing_file_is_domain_error(tmp_path, capsys):
     assert main(["trace", str(tmp_path / "nope.jsonl")]) == 1
     assert "error" in capsys.readouterr().err
-
-
-class TestBenchCheckBootstrap:
-    """Regression: empty/missing ledgers guide instead of raising."""
-
-    def test_missing_ledger_exits_zero_with_guidance(self, tmp_path, capsys):
-        history = tmp_path / "missing.jsonl"
-        assert main(["bench", "check", "--history", str(history)]) == 0
-        out = capsys.readouterr().out
-        assert "missing or empty" in out
-        assert "repro bench record" in out
-
-    def test_empty_ledger_exits_zero_with_guidance(self, tmp_path, capsys):
-        history = tmp_path / "empty.jsonl"
-        history.write_text("")
-        assert main(["bench", "check", "--history", str(history)]) == 0
-        assert "missing or empty" in capsys.readouterr().out
 
 
 class TestConformShrinkInputs:

@@ -1,4 +1,4 @@
-"""Unit tests of the incremental cost evaluator (deltas, undo, guards)."""
+"""Unit tests of the incremental cost evaluator (deltas, listener, guards)."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import CostModel, ReplicationScheme
-from repro.core.benefit import replication_benefit
-from repro.core.cost import reference_total_cost
 from repro.core.incremental import (
     IncrementalCostEvaluator,
     ObjectColumnState,
@@ -15,7 +13,7 @@ from repro.core.incremental import (
     single_add_delta,
     single_drop_delta,
 )
-from repro.errors import StaleEvaluatorError, ValidationError
+from repro.errors import ValidationError
 
 
 def _fresh(instance):
@@ -108,48 +106,10 @@ def test_delta_validation_errors(small_instance):
 
 
 # --------------------------------------------------------------------- #
-# apply / revert / staleness
+# listener / detach
 # --------------------------------------------------------------------- #
-def test_apply_and_revert_roundtrip(small_instance):
-    model, scheme, ev = _fresh(small_instance)
-    rng = np.random.default_rng(3)
-    site, obj = _feasible_add(small_instance, scheme, rng)
-    total0 = ev.total_cost()
-    version0 = ev.version
-    move = ev.move_add(site, obj)
-    assert ev.apply(move) == move.delta
-    assert scheme.holds(site, obj)
-    assert ev.version == version0 + 1
-    ev.revert()
-    assert not scheme.holds(site, obj)
-    assert ev.version == version0
-    assert ev.total_cost() == total0
-    ev.consistency_check()
-    # The version was restored, so the pre-mutation move is valid again.
-    assert ev.apply(move) == move.delta
-
-
-def test_stale_move_raises(small_instance):
-    model, scheme, ev = _fresh(small_instance)
-    rng = np.random.default_rng(4)
-    site, obj = _feasible_add(small_instance, scheme, rng)
-    move = ev.move_add(site, obj)
-    # Direct mutation between pricing and apply invalidates the move.
-    other_site, other_obj = next(
-        pick
-        for pick in (
-            _feasible_add(small_instance, scheme, rng) for _ in range(50)
-        )
-        if pick is not None and pick != (site, obj)
-    )
-    scheme.add_replica(other_site, other_obj)
-    with pytest.raises(StaleEvaluatorError) as err:
-        ev.apply(move)
-    assert "re-price" in str(err.value)
-
-
 def test_direct_scheme_mutations_patch_evaluator(small_instance):
-    """Listener flow: mutations bypassing the evaluator keep it exact."""
+    """Listener flow: every scheme mutation keeps the evaluator exact."""
     model, scheme, ev = _fresh(small_instance)
     rng = np.random.default_rng(5)
     for _ in range(8):
@@ -172,65 +132,14 @@ def test_detach_freezes_state(small_instance):
 
 
 # --------------------------------------------------------------------- #
-# Eq. 5 dedup regression (satellite): one arithmetic, two entry points
+# Eq. 5 arithmetic
 # --------------------------------------------------------------------- #
-def test_eq5_entry_points_identical(small_instance):
-    model, scheme, ev = _fresh(small_instance)
-    objs = np.arange(small_instance.num_objects)
-    for site in range(small_instance.num_sites):
-        via_evaluator = ev.benefits(site, objs)
-        for k in objs:
-            if scheme.holds(site, int(k)):
-                continue
-            direct = replication_benefit(
-                small_instance, scheme, site, int(k)
-            )
-            assert direct == via_evaluator[k]
-
-
 def test_eq5_benefit_formula():
     # 3 reads saving distance 5, 2 foreign writes attracted over cost 4.
     assert eq5_benefit(3.0, 5.0, 2.0, 4.0) == 3.0 * 5.0 - 2.0 * 4.0
     assert eq5_benefit(3.0, 5.0, 2.0, 4.0, update_fraction=0.5) == (
         3.0 * 5.0 - 0.5 * 2.0 * 4.0
     )
-
-
-# --------------------------------------------------------------------- #
-# rebind_model (adaptive-loop epochs)
-# --------------------------------------------------------------------- #
-def test_rebind_model_adopts_new_patterns(small_instance):
-    from repro.core.problem import DRPInstance
-
-    model, scheme, ev = _fresh(small_instance)
-    rng = np.random.default_rng(7)
-    for _ in range(4):
-        pick = _feasible_add(small_instance, scheme, rng)
-        if pick:
-            scheme.add_replica(*pick)
-    drifted = DRPInstance(
-        cost=small_instance.cost,
-        sizes=small_instance.sizes,
-        capacities=small_instance.capacities,
-        reads=small_instance.reads * 2.0,
-        writes=small_instance.writes,
-        primaries=small_instance.primaries,
-    )
-    new_model = CostModel(drifted)
-    ev.rebind_model(new_model)
-    assert ev.total_cost() == new_model.total_cost(scheme)
-    ev.consistency_check()
-    # Different network must be refused.
-    bad = DRPInstance(
-        cost=small_instance.cost * 2.0,
-        sizes=small_instance.sizes,
-        capacities=small_instance.capacities,
-        reads=small_instance.reads,
-        writes=small_instance.writes,
-        primaries=small_instance.primaries,
-    )
-    with pytest.raises(ValidationError, match="same network"):
-        ev.rebind_model(CostModel(bad))
 
 
 # --------------------------------------------------------------------- #
@@ -259,37 +168,3 @@ def test_object_column_state_requires_replicator(small_instance):
     empty = np.zeros(small_instance.num_sites, dtype=bool)
     with pytest.raises(ValidationError, match="no replicators"):
         ObjectColumnState(model, 0, empty)
-
-
-def test_rebind_model_shape_change_raises_stale_error(small_instance):
-    """Regression: a grown/shrunk problem used to hit the array_equal
-    network check (raising ValidationError, or worse, broadcasting);
-    a shape change means the evaluator state is stale by definition."""
-    from repro.core.problem import DRPInstance
-    from repro.workload import WorkloadSpec, generate_instance
-
-    _, _, ev = _fresh(small_instance)
-    grown = generate_instance(
-        WorkloadSpec(
-            num_sites=small_instance.num_sites + 2,
-            num_objects=small_instance.num_objects + 3,
-            update_ratio=0.05,
-            capacity_ratio=0.3,
-        ),
-        rng=7,
-    )
-    with pytest.raises(StaleEvaluatorError, match="fresh evaluator"):
-        ev.rebind_model(CostModel(grown))
-
-    shrunk = DRPInstance(
-        cost=small_instance.cost[:-1, :-1],
-        sizes=small_instance.sizes,
-        capacities=small_instance.capacities[:-1] + 1000,
-        reads=small_instance.reads[:-1],
-        writes=small_instance.writes[:-1],
-        primaries=np.zeros_like(small_instance.primaries),
-    )
-    with pytest.raises(StaleEvaluatorError, match="fresh evaluator"):
-        ev.rebind_model(CostModel(shrunk))
-    # The evaluator is still usable against its original problem.
-    ev.consistency_check()

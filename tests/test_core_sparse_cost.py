@@ -222,47 +222,29 @@ class TestIncrementalOnSparse:
     def test_evaluator_parity_with_dense(
         self, dense_instance, sparse_problem
     ):
+        dense_scheme = ReplicationScheme.primary_only(dense_instance)
+        sparse_scheme = ReplicationScheme.primary_only(sparse_problem)
         dense_eval = IncrementalCostEvaluator(
-            CostModel(dense_instance),
-            ReplicationScheme.primary_only(dense_instance),
+            CostModel(dense_instance), dense_scheme
         )
         sparse_eval = IncrementalCostEvaluator(
-            SparseCostModel(sparse_problem, tile=4),
-            ReplicationScheme.primary_only(sparse_problem),
+            SparseCostModel(sparse_problem, tile=4), sparse_scheme
         )
         assert sparse_eval.total_cost() == dense_eval.total_cost()
         rng = np.random.default_rng(3)
         for _ in range(25):
             site = int(rng.integers(dense_instance.num_sites))
             obj = int(rng.integers(dense_instance.num_objects))
-            if dense_eval.scheme.holds(site, obj):
+            if dense_scheme.holds(site, obj):
                 continue
             assert sparse_eval.delta_add(site, obj) == dense_eval.delta_add(
                 site, obj
             )
             if (
-                dense_eval.scheme.remaining_capacity()[site]
+                dense_scheme.remaining_capacity()[site]
                 >= dense_instance.sizes[obj]
             ):
-                dense_eval.apply_add(site, obj)
-                sparse_eval.apply_add(site, obj)
+                dense_scheme.add_replica(site, obj)
+                sparse_scheme.add_replica(site, obj)
                 assert sparse_eval.total_cost() == dense_eval.total_cost()
         sparse_eval.consistency_check()
-
-    def test_evaluator_benefits_parity(
-        self, dense_instance, sparse_problem
-    ):
-        dense_eval = IncrementalCostEvaluator(
-            CostModel(dense_instance),
-            ReplicationScheme.primary_only(dense_instance),
-        )
-        sparse_eval = IncrementalCostEvaluator(
-            SparseCostModel(sparse_problem, tile=4),
-            ReplicationScheme.primary_only(sparse_problem),
-        )
-        objs = np.arange(dense_instance.num_objects)
-        for site in range(dense_instance.num_sites):
-            assert np.array_equal(
-                dense_eval.benefits(site, objs),
-                sparse_eval.benefits(site, objs),
-            )

@@ -1,10 +1,12 @@
 """Property-based invariants of the incremental evaluator.
 
 The central claim of the delta-evaluation refactor: after *any*
-interleaving of adds, drops and reverts, the evaluator's maintained total
-equals the Eq. 1-4 reference recompute — including capacity-edge schemes
-(full sites force drops/swaps) and single-replica objects (a drop's
-two-nearest repair must fall back to ``(inf, -1)`` second slots).
+interleaving of scheme adds and drops — the mutations local search
+makes, patched into the evaluator by its scheme listener — the
+evaluator's maintained total equals the Eq. 1-4 reference recompute,
+including capacity-edge schemes (full sites force drops/swaps) and
+single-replica objects (a drop's two-nearest repair must fall back to
+``(inf, -1)`` second slots).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def test_interleaved_walk_matches_reference(pair, seed):
     model = CostModel(instance)
     ev = IncrementalCostEvaluator(model, scheme)
     rng = np.random.default_rng(seed)
-    mutations = 0
+    history = []
     for _ in range(25):
         action = int(rng.integers(3))
         site = int(rng.integers(instance.num_sites))
@@ -52,9 +54,9 @@ def test_interleaved_walk_matches_reference(pair, seed):
             ):
                 delta = ev.delta_add(site, obj)
                 before = ev.total_cost()
-                ev.apply_add(site, obj)
+                scheme.add_replica(site, obj)
                 assert ev.total_cost() == pytest.approx(before + delta)
-                mutations += 1
+                history.append((True, site, obj))
         elif action == 1:
             if (
                 scheme.holds(site, obj)
@@ -62,12 +64,16 @@ def test_interleaved_walk_matches_reference(pair, seed):
             ):
                 delta = ev.delta_drop(site, obj)
                 before = ev.total_cost()
-                ev.apply_drop(site, obj)
+                scheme.drop_replica(site, obj)
                 assert ev.total_cost() == pytest.approx(before + delta)
-                mutations += 1
-        elif mutations > 0:
-            ev.revert()
-            mutations -= 1
+                history.append((False, site, obj))
+        elif history:
+            # Undo the latest mutation with its inverse.
+            added, site, obj = history.pop()
+            if added:
+                scheme.drop_replica(site, obj)
+            else:
+                scheme.add_replica(site, obj)
         _check(instance, model, scheme, ev)
     ev.consistency_check()
 
@@ -93,9 +99,9 @@ def test_single_replica_objects_survive_drop_repair(instance, seed):
             continue
         if scheme.remaining_capacity()[site] < instance.sizes[obj]:
             continue
-        ev.apply_add(site, obj)
+        scheme.add_replica(site, obj)
         _check(instance, model, scheme, ev)
-        ev.apply_drop(site, obj)
+        scheme.drop_replica(site, obj)
         _check(instance, model, scheme, ev)
     ev.consistency_check()
 
@@ -114,7 +120,7 @@ def test_capacity_edge_fill_then_churn(instance, seed):
             if scheme.holds(site, obj):
                 continue
             if scheme.remaining_capacity()[site] >= instance.sizes[obj]:
-                ev.apply_add(site, obj)
+                scheme.add_replica(site, obj)
     _check(instance, model, scheme, ev)
     # Churn: drop a non-primary replica, re-add something that now fits.
     for _ in range(10):
@@ -127,13 +133,13 @@ def test_capacity_edge_fill_then_churn(instance, seed):
         if not held:
             break
         site, obj = held[int(rng.integers(len(held)))]
-        ev.apply_drop(site, int(obj))
+        scheme.drop_replica(site, int(obj))
         _check(instance, model, scheme, ev)
         for k in range(instance.num_objects):
             if not scheme.holds(site, k) and (
                 scheme.remaining_capacity()[site] >= instance.sizes[k]
             ):
-                ev.apply_add(site, k)
+                scheme.add_replica(site, k)
                 break
         _check(instance, model, scheme, ev)
     ev.consistency_check()
@@ -141,14 +147,15 @@ def test_capacity_edge_fill_then_churn(instance, seed):
 
 @SETTINGS
 @given(instances_with_schemes(), st.integers(0, 2**16))
-def test_revert_restores_totals_bitwise(pair, seed):
+def test_add_then_drop_restores_totals_bitwise(pair, seed):
+    """Dropping every added replica again restores the total bit for bit:
+    the drop repair rebuilds exactly the rows the adds touched."""
     instance, scheme = pair
     model = CostModel(instance)
     ev = IncrementalCostEvaluator(model, scheme)
     rng = np.random.default_rng(seed)
     snapshot = ev.total_cost()
-    version = ev.version
-    applied = 0
+    added = []
     for _ in range(8):
         site = int(rng.integers(instance.num_sites))
         obj = int(rng.integers(instance.num_objects))
@@ -156,10 +163,9 @@ def test_revert_restores_totals_bitwise(pair, seed):
             not scheme.holds(site, obj)
             and scheme.remaining_capacity()[site] >= instance.sizes[obj]
         ):
-            ev.apply_add(site, obj)
-            applied += 1
-    for _ in range(applied):
-        ev.revert()
+            scheme.add_replica(site, obj)
+            added.append((site, obj))
+    for site, obj in reversed(added):
+        scheme.drop_replica(site, obj)
     assert ev.total_cost() == snapshot
-    assert ev.version == version
     ev.consistency_check()
