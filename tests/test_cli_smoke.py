@@ -40,7 +40,8 @@ def test_help_exits_zero(argv, capsys):
     assert "usage:" in out
 
 
-@pytest.mark.parametrize("parent", [["conform"]])
+# ``parent0`` was the retired ``bench`` group; ``conform`` keeps its id.
+@pytest.mark.parametrize("parent", [pytest.param(["conform"], id="parent1")])
 def test_bare_group_parent_prints_usage_and_exits_2(parent, capsys):
     assert main(parent) == 2
     assert "usage:" in capsys.readouterr().err
