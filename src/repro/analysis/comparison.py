@@ -12,7 +12,7 @@ from repro.analysis.statistics import SummaryStats, summarize
 from repro.core.cost import CostModel
 from repro.core.problem import DRPInstance
 from repro.errors import ValidationError
-from repro.utils.metrics import global_metrics
+from repro.utils.metrics import current_metrics
 from repro.utils.rng import SeedLike, spawn_seeds
 from repro.utils.tables import format_table
 
@@ -77,7 +77,7 @@ def compare_algorithms(
     idx = 0
     for instance in instances:
         # picks up cache counters/timers when a --metrics registry is live
-        model = CostModel(instance, metrics=global_metrics())
+        model = CostModel(instance, metrics=current_metrics())
         for label, factory in factories.items():
             algorithm = factory(run_seeds[idx])
             idx += 1

@@ -33,6 +33,7 @@ import numpy as np
 from repro.conformance.corpus import Scenario
 from repro.core.problem import DRPInstance
 from repro.errors import ReproError, ValidationError
+from repro.utils.files import atomic_write, read_text
 
 #: failure predicate: messages describing why the instance fails
 #: (empty list == the instance passes, candidate rejected)
@@ -292,9 +293,7 @@ def write_artifact(result: ShrinkResult, path: str) -> str:
     }
     if result.scenario is not None:
         data["scenario"] = result.scenario.to_dict()
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fp:
+    with atomic_write(path) as fp:
         json.dump(data, fp, indent=2, sort_keys=True)
         fp.write("\n")
     return path
@@ -306,32 +305,25 @@ def load_artifact(path: str) -> Dict[str, object]:
     Raises :class:`ValidationError` on a missing file or a JSON payload
     that is not a shrink artifact, with a message that says what to do.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            data = json.load(fp)
-    except FileNotFoundError:
+    if not os.path.lexists(path):
         raise ValidationError(
             f"no shrink artifact at {path}; produce one with "
             f"`repro conform shrink --scenario NAME --out {path}` or "
             f"download the conformance job's shrunken-repro artifact"
-        ) from None
+        )
+    try:
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path} is not valid JSON ({exc}); expected a "
             f"`repro conform shrink` artifact"
-        ) from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot read {path}: {exc.strerror or exc}"
         ) from None
     if not isinstance(data, dict) or data.get("kind") != ARTIFACT_KIND:
         raise ValidationError(
             f"{path} is not a conformance shrink artifact "
             f"(missing kind={ARTIFACT_KIND!r})"
         )
-    data["instance"] = DRPInstance.from_dict(data["instance"])
+    data["instance"] = DRPInstance.from_dict(data.get("instance"))
     if "scenario" in data:
         data["scenario"] = Scenario.from_dict(data["scenario"])
     return data

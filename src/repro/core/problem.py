@@ -213,14 +213,24 @@ class DRPInstance:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DRPInstance":
-        return cls(
-            cost=np.asarray(data["cost"], dtype=float),
-            sizes=np.asarray(data["sizes"], dtype=float),
-            capacities=np.asarray(data["capacities"], dtype=float),
-            reads=np.asarray(data["reads"], dtype=float),
-            writes=np.asarray(data["writes"], dtype=float),
-            primaries=np.asarray(data["primaries"], dtype=np.int64),
-        )
+        """Inverse of :meth:`to_dict`; a malformed ``data`` is a
+        :class:`ValidationError` naming the missing or non-numeric field."""
+        if not isinstance(data, dict):
+            raise ValidationError(
+                f"instance data must be a JSON object, got {type(data).__name__}"
+            )
+        fields = {}
+        for name in ("cost", "sizes", "capacities", "reads", "writes", "primaries"):
+            dtype = np.int64 if name == "primaries" else float
+            if name not in data:
+                raise ValidationError(f"instance data has no {name!r} field")
+            try:
+                fields[name] = np.asarray(data[name], dtype=dtype)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"instance field {name!r} is not a numeric array"
+                ) from None
+        return cls(**fields)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DRPInstance):

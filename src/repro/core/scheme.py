@@ -327,7 +327,15 @@ class ReplicationScheme:
     def from_dict(
         cls, instance: DRPInstance, data: Dict[str, object]
     ) -> "ReplicationScheme":
-        return cls(instance, np.asarray(data["matrix"], dtype=bool))
+        if not isinstance(data, dict) or "matrix" not in data:
+            raise ValidationError("scheme data has no 'matrix' field")
+        try:
+            matrix = np.asarray(data["matrix"], dtype=bool)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                "scheme field 'matrix' is not a 0/1 array"
+            ) from None
+        return cls(instance, matrix)
 
     def __repr__(self) -> str:
         return (

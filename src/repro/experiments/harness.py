@@ -24,7 +24,7 @@ from repro.algorithms.base import AlgorithmResult, ReplicationAlgorithm
 from repro.core.cost import CostModel
 from repro.core.problem import DRPInstance
 from repro.errors import ValidationError
-from repro.utils.metrics import MetricsRegistry, global_metrics
+from repro.utils.metrics import MetricsRegistry, current_metrics
 from repro.utils.rng import SeedLike, spawn_seeds
 from repro.utils.tracing import current_tracer
 from repro.workload.generator import generate_instance
@@ -93,7 +93,7 @@ def average_static_runs(
         return ParallelRunner(max_workers=workers).average_static_runs(
             spec, factories, instances, seed=seed, metrics=metrics
         )
-    metrics = metrics if metrics is not None else global_metrics()
+    metrics = metrics if metrics is not None else current_metrics()
     tracer = current_tracer()
     results: Dict[str, List[AlgorithmResult]] = {
         label: [] for label in factories

@@ -65,7 +65,7 @@ from repro.runtime.context import (
     resolve_max_workers,
 )
 from repro.runtime.registry import default_registry
-from repro.utils.metrics import MetricsRegistry, Snapshot, global_metrics
+from repro.utils.metrics import MetricsRegistry, Snapshot, current_metrics
 from repro.utils.rng import SeedLike, spawn_seeds
 from repro.utils.tracing import Record, current_tracer
 from repro.workload.generator import generate_instance
@@ -259,7 +259,7 @@ class ParallelRunner:
             )
         if not factories:
             raise ValidationError("need at least one algorithm factory")
-        metrics = metrics if metrics is not None else global_metrics()
+        metrics = metrics if metrics is not None else current_metrics()
         ctx = ambient_context()
         tracer = current_tracer()
         labels = list(factories)

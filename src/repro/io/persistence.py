@@ -8,14 +8,13 @@ functions accept a path (``str`` or ``pathlib.Path``).
 from __future__ import annotations
 
 import json
-import os
-import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
+from repro.utils.files import atomic_write, read_text
 
 if TYPE_CHECKING:
     # imported where used: the experiments package pulls in the
@@ -33,41 +32,18 @@ _KIND_FIGURE = "repro/figure-result"
 
 
 def _write(path: PathLike, document: dict) -> Path:
-    # Write a sibling temp file and rename it over the target, so a
-    # failure mid-write never leaves a truncated or half-written file.
-    # The name is unique per writing thread; plain open() keeps the
-    # umask-derived permissions a direct write would have had.
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(
-        f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
-    )
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
+    with atomic_write(path) as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return Path(path)
 
 
 def _read(path: PathLike, expected_kind: str) -> dict:
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except FileNotFoundError:
-        raise ValidationError(f"no such file: {path}") from None
+        document = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot read {path}: {exc.strerror or exc}"
-        ) from None
     if not isinstance(document, dict):
         raise ValidationError(f"{path} does not contain a JSON object")
     kind = document.get("kind")
@@ -82,6 +58,12 @@ def _read(path: PathLike, expected_kind: str) -> dict:
             f"version {FORMAT_VERSION}"
         )
     return document
+
+
+def _field(document: dict, key: str, path: PathLike) -> object:
+    if key not in document:
+        raise ValidationError(f"{path} has no {key!r} field")
+    return document[key]
 
 
 # --------------------------------------------------------------------- #
@@ -102,7 +84,7 @@ def save_instance(instance: DRPInstance, path: PathLike) -> Path:
 def load_instance(path: PathLike) -> DRPInstance:
     """Read a DRP instance written by :func:`save_instance`."""
     document = _read(path, _KIND_INSTANCE)
-    return DRPInstance.from_dict(document["data"])
+    return DRPInstance.from_dict(_field(document, "data", path))
 
 
 # --------------------------------------------------------------------- #
@@ -124,8 +106,8 @@ def save_scheme(scheme: ReplicationScheme, path: PathLike) -> Path:
 def load_scheme(path: PathLike) -> ReplicationScheme:
     """Read a scheme written by :func:`save_scheme` (instance included)."""
     document = _read(path, _KIND_SCHEME)
-    instance = DRPInstance.from_dict(document["instance"])
-    return ReplicationScheme.from_dict(instance, document["scheme"])
+    instance = DRPInstance.from_dict(_field(document, "instance", path))
+    return ReplicationScheme.from_dict(instance, _field(document, "scheme", path))
 
 
 # --------------------------------------------------------------------- #

@@ -26,13 +26,9 @@ from repro.obs.causal import (
 from repro.obs.ledger import (
     PlacementLedger,
     current_ledger,
-    disable_global_ledger,
-    enable_global_ledger,
     explain_entries,
-    global_ledger,
     read_ledger,
     render_explanation,
-    temporary_ledger,
 )
 
 __all__ = [
@@ -44,11 +40,7 @@ __all__ = [
     "monitor_rounds",
     "PlacementLedger",
     "current_ledger",
-    "disable_global_ledger",
-    "enable_global_ledger",
     "explain_entries",
-    "global_ledger",
     "read_ledger",
     "render_explanation",
-    "temporary_ledger",
 ]

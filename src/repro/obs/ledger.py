@@ -26,12 +26,12 @@ those two actions from an empty (primary-only) scheme must reproduce the
 final scheme bit for bit — the ``ledger-scheme-consistency`` conformance
 invariant enforces this on every corpus scenario.
 
-A process-wide ledger mirrors the tracer's singleton discipline: it is
-installed and torn down only by :class:`repro.runtime.context.RunContext`
-(the CLI ``--ledger`` flag), and instrumented call sites fetch it with
-:func:`current_ledger`, which returns a shared *disabled* ledger when
-the feature is off so the hot paths pay one attribute check and nothing
-else.
+A process-wide ledger lives in the :data:`LEDGER` slot, like the
+tracer's: it is installed and torn down only by
+:class:`repro.runtime.context.RunContext` (the CLI ``--ledger`` flag),
+and instrumented call sites fetch it with :func:`current_ledger`, which
+returns a shared *disabled* ledger when the feature is off so the hot
+paths pay one call plus one attribute check and nothing else.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from contextlib import contextmanager
 from typing import Dict, IO, Iterator, List, Optional, Tuple
 
 from repro.errors import ValidationError
+from repro.utils.files import atomic_write, read_text
+from repro.utils.recorders import Slot
 from repro.utils.tracing import current_tracer
 
 #: entry actions that mutate the deployed scheme (replayable)
@@ -175,35 +177,31 @@ class PlacementLedger:
             fp.write(json.dumps(entry, default=str) + "\n")
 
     def write(self, path: str) -> str:
-        with open(path, "w", encoding="utf-8") as fp:
+        with atomic_write(path) as fp:
             self.write_jsonl(fp)
         return path
 
 
 def read_ledger(path: str) -> List[Entry]:
     """Load a JSONL ledger written by :meth:`PlacementLedger.write`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            content = fp.read()
-    except FileNotFoundError:
-        raise ValidationError(f"no such file: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot read {path}: {exc.strerror or exc}"
-        ) from None
+    content = read_text(path)
     entries: List[Entry] = []
-    for line in content.splitlines():
+    for lineno, line in enumerate(content.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         try:
-            entries.append(json.loads(line))
+            entry = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(
                 f"{path} is not a valid ledger file: {exc}"
             ) from None
+        if not isinstance(entry, dict):
+            raise ValidationError(
+                f"{path}:{lineno}: expected a JSON object, "
+                f"got {type(entry).__name__}"
+            )
+        entries.append(entry)
     return entries
 
 
@@ -287,55 +285,11 @@ def render_explanation(
 # --------------------------------------------------------------------- #
 # optional process-wide ledger (CLI --ledger)
 # --------------------------------------------------------------------- #
-_GLOBAL: Optional[PlacementLedger] = None
-_DISABLED = PlacementLedger(enabled=False)
+#: the process-wide ledger's slot; a shared disabled ledger stands in
+LEDGER: Slot[PlacementLedger] = Slot("ledger", PlacementLedger(enabled=False))
 
-
-def enable_global_ledger() -> PlacementLedger:
-    """Install (or return the existing) process-wide ledger."""
-    global _GLOBAL
-    if _GLOBAL is None:
-        _GLOBAL = PlacementLedger()
-    return _GLOBAL
-
-
-def global_ledger() -> Optional[PlacementLedger]:
-    """The process-wide ledger, or ``None`` when the feature is off."""
-    return _GLOBAL
-
-
-def disable_global_ledger() -> None:
-    """Remove the process-wide ledger."""
-    global _GLOBAL
-    _GLOBAL = None
-
-
-def current_ledger() -> PlacementLedger:
-    """The global ledger, or a shared disabled ledger when off.
-
-    Producers use this so the disabled path costs one global load plus
-    one ``enabled`` check — no allocation, no branches in the caller.
-    """
-    return _GLOBAL if _GLOBAL is not None else _DISABLED
-
-
-@contextmanager
-def temporary_ledger() -> Iterator[PlacementLedger]:
-    """Install a fresh process-wide ledger for the duration of a block.
-
-    Whatever ledger was installed before (including none) is restored on
-    exit, even when the body raises.  The conformance invariant uses this
-    (via :func:`repro.runtime.context.scoped_ledger`) to capture a
-    solve's placement stream without clobbering a ``--ledger`` session.
-    """
-    global _GLOBAL
-    previous = _GLOBAL
-    ledger = PlacementLedger()
-    _GLOBAL = ledger
-    try:
-        yield ledger
-    finally:
-        _GLOBAL = previous
+#: the installed ledger, or the disabled stand-in when the feature is off
+current_ledger = LEDGER.current
 
 
 __all__ = [
@@ -352,9 +306,6 @@ __all__ = [
     "read_ledger",
     "explain_entries",
     "render_explanation",
-    "enable_global_ledger",
-    "global_ledger",
-    "disable_global_ledger",
+    "LEDGER",
     "current_ledger",
-    "temporary_ledger",
 ]

@@ -6,13 +6,14 @@ metrics registry, fault plan, RNG tree and parallelism policy by hand
 process-pool workers, ``configure``/``finally`` pairs in the experiment
 runner).  :class:`RunContext` centralises all of it:
 
-* ``install()`` enables the requested process-wide components through
-  the ``utils`` enable/disable functions — this module is the **only**
-  legitimate caller of those mutators outside their defining modules
-  (``tests/test_layering.py`` enforces the contract) — and registers
-  itself in a :mod:`contextvars` variable so nested code can find the
-  active context with :func:`current_context`;
-* components that were already enabled before ``install()`` are
+* ``install()`` fills the requested process-wide recorder slots, in
+  the order of the one :data:`RECORDERS` table, through the
+  :mod:`repro.utils.recorders` mutators — this package is the **only**
+  legitimate caller of those mutators (``tests/test_layering.py``
+  enforces the contract) — and registers itself in a
+  :mod:`contextvars` variable so nested code can find the active
+  context with :func:`current_context`;
+* recorders that were already installed before ``install()`` are
   *adopted*: the context uses them but does not tear them down, exactly
   like the CLI's old ``had_tracer``-style bookkeeping;
 * ``teardown()`` flushes the telemetry sink (final snapshot + exporter
@@ -36,48 +37,27 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator, List, Optional, Sequence
+from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.obs.ledger import (
-    PlacementLedger,
-    current_ledger,
-    disable_global_ledger,
-    enable_global_ledger,
-    global_ledger,
-    temporary_ledger,
+from repro.obs.ledger import LEDGER, PlacementLedger
+from repro.utils.metrics import METRICS, MetricsRegistry
+from repro.utils.profiler import PROFILER, DeterministicProfiler
+from repro.utils.recorders import (
+    Slot,
+    install_recorder,
+    scoped_recorder,
+    uninstall_recorder,
 )
-from repro.utils.metrics import (
-    MetricsRegistry,
-    disable_global_metrics,
-    enable_global_metrics,
-    global_metrics,
-)
-from repro.utils.profiler import (
-    DeterministicProfiler,
-    current_profiler,
-    disable_global_profiling,
-    enable_global_profiling,
-    global_profiler,
-)
-from repro.utils.telemetry import (
-    TelemetrySink,
-    current_sink,
-    disable_global_telemetry,
-    enable_global_telemetry,
-    global_telemetry,
-)
-from repro.utils.tracing import (
-    DEFAULT_CAPACITY,
-    Tracer,
-    current_tracer,
-    disable_global_tracing,
-    enable_global_tracing,
-    global_tracer,
-    temporary_tracer,
-)
+from repro.utils.telemetry import TELEMETRY, TelemetrySink
+from repro.utils.tracing import DEFAULT_CAPACITY, TRACER, Tracer, current_tracer
+
+#: every process-wide recorder slot, in install order: the sink is
+#: built after the registry it reports, the profiler after the tracer
+#: whose span stack it samples
+RECORDERS: Tuple[Slot, ...] = (METRICS, TELEMETRY, LEDGER, TRACER, PROFILER)
 
 #: the active context, scoped with :mod:`contextvars` so async/threaded
 #: callers each see their own installation
@@ -162,8 +142,7 @@ class RunContext:
         Enable the deterministic profiler, sampling one stack per
         ``profile_every`` progress ticks.  Profiling samples the
         tracer's open-span stack, so the context enables tracing
-        alongside it (the coupling formerly hidden inside
-        ``enable_global_profiling``).
+        alongside it.
     telemetry / exporters:
         Install a :class:`~repro.utils.telemetry.TelemetrySink`;
         ``exporters`` are attached to it on install.
@@ -224,19 +203,13 @@ class RunContext:
         self._cost_model_factory = cost_model_factory
         self.worker_id = _worker_id
         self._fork_parent_pid = _fork_parent_pid
-        # live components (populated by install)
-        self._tracer: Optional[Tracer] = None
-        self._profiler: Optional[DeterministicProfiler] = None
-        self._sink: Optional[TelemetrySink] = None
-        self._metrics: Optional[MetricsRegistry] = registry
-        self._ledger: Optional[PlacementLedger] = None
-        # adoption bookkeeping
+        # live recorders by slot name (populated by install) and the
+        # slots this context filled itself (torn down again)
+        self._recorders: Dict[str, object] = (
+            {METRICS.name: registry} if registry is not None else {}
+        )
+        self._owned: List[Slot] = []
         self._installed = False
-        self._owns_tracer = False
-        self._owns_profiler = False
-        self._owns_sink = False
-        self._owns_metrics = False
-        self._owns_ledger = False
         self._previous_workers: Optional[int] = None
         self._restore_workers = False
         self._token = None
@@ -300,36 +273,32 @@ class RunContext:
     # ------------------------------------------------------------------ #
     # component access
     # ------------------------------------------------------------------ #
+    def _recorder(self, slot: Slot):
+        recorder = self._recorders.get(slot.name)
+        return slot.current() if recorder is None else recorder
+
     @property
     def tracer(self) -> Tracer:
         """This context's tracer, else the process-wide/disabled one."""
-        if self._tracer is not None:
-            return self._tracer
-        return current_tracer()
+        return self._recorder(TRACER)
 
     @property
     def profiler(self) -> DeterministicProfiler:
-        if self._profiler is not None:
-            return self._profiler
-        return current_profiler()
+        return self._recorder(PROFILER)
 
     @property
     def sink(self) -> TelemetrySink:
-        if self._sink is not None:
-            return self._sink
-        return current_sink()
+        return self._recorder(TELEMETRY)
 
     @property
     def metrics(self) -> Optional[MetricsRegistry]:
         """The run's metrics registry, or ``None`` when none was asked."""
-        return self._metrics
+        return self._recorders.get(METRICS.name)
 
     @property
     def ledger(self) -> PlacementLedger:
         """This context's ledger, else the process-wide/disabled one."""
-        if self._ledger is not None:
-            return self._ledger
-        return current_ledger()
+        return self._recorder(LEDGER)
 
     @property
     def installed(self) -> bool:
@@ -357,30 +326,44 @@ class RunContext:
         if self._fork_parent_pid is not None:
             self._install_forked()
             return self
-        if self.metrics_requested and self._registry is None:
-            self._owns_metrics = global_metrics() is None
-            self._metrics = enable_global_metrics()
-        if self.telemetry_requested:
-            self._owns_sink = global_telemetry() is None
-            self._sink = enable_global_telemetry(registry=self._metrics)
+        requested = self._requested_recorders()
+        for slot in RECORDERS:
+            if slot in requested:
+                self._install(slot, requested[slot])
+        sink = self._recorders.get(TELEMETRY.name)
+        if sink is not None:
+            if sink.registry is None:  # an adopted sink reports our registry
+                sink.registry = self.metrics
             for exporter in self._exporters:
-                self._sink.attach_exporter(exporter)
-        if self.ledger_requested:
-            self._owns_ledger = global_ledger() is None
-            self._ledger = enable_global_ledger()
-        if self.trace_requested or self.profile_requested:
-            self._owns_tracer = global_tracer() is None
-            self._tracer = enable_global_tracing(self.trace_capacity)
-        if self.profile_requested:
-            self._owns_profiler = global_profiler() is None
-            self._profiler = enable_global_profiling(
-                sample_every=self.profile_every
-            )
+                sink.attach_exporter(exporter)
         if self.max_workers is not None:
             self._previous_workers = _configured_workers
             self._restore_workers = True
             configure_parallelism(self.max_workers)
         return self
+
+    def _requested_recorders(self) -> Dict[Slot, Callable[[], object]]:
+        """Slot -> factory for each recorder this context asks for."""
+        requested: Dict[Slot, Callable[[], object]] = {}
+        if self.metrics_requested and self._registry is None:
+            requested[METRICS] = MetricsRegistry
+        if self.telemetry_requested:
+            requested[TELEMETRY] = TelemetrySink
+        if self.ledger_requested:
+            requested[LEDGER] = PlacementLedger
+        if self.trace_requested or self.profile_requested:
+            requested[TRACER] = lambda: Tracer(capacity=self.trace_capacity)
+        if self.profile_requested:
+            requested[PROFILER] = lambda: DeterministicProfiler(
+                sample_every=self.profile_every
+            )
+        return requested
+
+    def _install(self, slot: Slot, make: Callable[[], object]) -> None:
+        """Fill ``slot`` (or adopt its recorder) and keep a handle on it."""
+        if slot.recorder is None:
+            self._owned.append(slot)
+        self._recorders[slot.name] = install_recorder(slot, make)
 
     def _install_forked(self) -> None:
         """Per-task setup in a (potential) pool worker.
@@ -392,34 +375,27 @@ class RunContext:
         records straight into the live tracer and ships nothing.
         """
         if self.trace_requested and os.getpid() != self._fork_parent_pid:
-            disable_global_tracing()  # drop the copy inherited via fork
-            self._tracer = enable_global_tracing(self.trace_capacity)
-            self._owns_tracer = True
+            uninstall_recorder(TRACER)  # drop the copy inherited via fork
+            self._install(
+                TRACER, lambda: Tracer(capacity=self.trace_capacity)
+            )
 
     def teardown(self) -> None:
         """Flush, restore the previous global state; idempotent."""
         if not self._installed:
             return
         self._installed = False
-        if self._sink is not None:
-            self._sink.snapshot()  # final state, even if the body raised
-            self._sink.close()
-        if self._owns_profiler:
-            disable_global_profiling()
-        if self._owns_tracer:
-            disable_global_tracing()
-        if self._owns_sink:
-            disable_global_telemetry()
-        if self._owns_metrics:
-            disable_global_metrics()
-        if self._owns_ledger:
-            disable_global_ledger()
+        sink = self._recorders.get(TELEMETRY.name)
+        if sink is not None:
+            sink.snapshot()  # final state, even if the body raised
+            sink.close()
+        for slot in reversed(RECORDERS):
+            if slot in self._owned:
+                uninstall_recorder(slot)
+        self._owned.clear()
         if self._restore_workers:
             configure_parallelism(self._previous_workers)
             self._restore_workers = False
-        self._owns_profiler = self._owns_tracer = False
-        self._owns_sink = self._owns_metrics = False
-        self._owns_ledger = False
         if self._token is not None:
             _ACTIVE.reset(self._token)
             self._token = None
@@ -451,8 +427,8 @@ class RunContext:
         workers return their private tracer's snapshot; in-process forks
         recorded straight into the live tracer and return ``None``.
         """
-        if self._fork_parent_pid is not None and self._owns_tracer:
-            return self._tracer.snapshot()
+        if self._fork_parent_pid is not None and TRACER in self._owned:
+            return self.tracer.snapshot()
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -462,7 +438,7 @@ class RunContext:
                 ("trace", self.trace_requested),
                 ("profile", self.profile_requested),
                 ("telemetry", self.telemetry_requested),
-                ("metrics", self._metrics is not None),
+                ("metrics", self.metrics is not None),
                 ("ledger", self.ledger_requested),
                 ("faults", self.fault_plan is not None),
             )
@@ -494,8 +470,7 @@ def ambient_context() -> RunContext:
     return RunContext(trace=current_tracer().enabled)
 
 
-@contextmanager
-def scoped_tracer(capacity: int = DEFAULT_CAPACITY) -> Iterator[Tracer]:
+def scoped_tracer(capacity: int = DEFAULT_CAPACITY) -> ContextManager[Tracer]:
     """A fresh process-wide tracer for the duration of a block.
 
     Whatever tracer was installed before (including none) is restored on
@@ -503,12 +478,10 @@ def scoped_tracer(capacity: int = DEFAULT_CAPACITY) -> Iterator[Tracer]:
     to observe instrumentation events (``sra.place`` benefits) without
     clobbering a ``--trace`` session the caller may be running.
     """
-    with temporary_tracer(capacity=capacity) as tracer:
-        yield tracer
+    return scoped_recorder(TRACER, Tracer(capacity=capacity))
 
 
-@contextmanager
-def scoped_ledger() -> Iterator[PlacementLedger]:
+def scoped_ledger() -> ContextManager[PlacementLedger]:
     """A fresh process-wide placement ledger for the duration of a block.
 
     Whatever ledger was installed before (including none) is restored on
@@ -516,12 +489,12 @@ def scoped_ledger() -> Iterator[PlacementLedger]:
     conformance invariant uses this to capture a solve's placement
     stream without clobbering a ``--ledger`` session.
     """
-    with temporary_ledger() as ledger:
-        yield ledger
+    return scoped_recorder(LEDGER, PlacementLedger())
 
 
 __all__ = [
     "PARALLEL_ENV_VAR",
+    "RECORDERS",
     "RunContext",
     "ambient_context",
     "configure_parallelism",

@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.errors import FaultPlanError, SimulationError
 from repro.obs.ledger import current_ledger
+from repro.utils.files import atomic_write
 from repro.utils.tracing import current_tracer
 
 #: transition kinds, in the order they apply at equal timestamps —
@@ -354,7 +355,7 @@ class FaultPlan:
         )
 
     def save(self, path: str) -> str:
-        with open(path, "w", encoding="utf-8") as fp:
+        with atomic_write(path) as fp:
             # allow_nan=False: any non-finite float that slipped past
             # the sentinel encoding fails loudly here instead of
             # silently writing the invalid-JSON `Infinity`/`NaN` tokens.

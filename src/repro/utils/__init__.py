@@ -5,16 +5,11 @@ from repro.utils.metrics import (
     Histogram,
     MetricsRegistry,
     Timer,
-    disable_global_metrics,
-    enable_global_metrics,
-    global_metrics,
+    current_metrics,
 )
 from repro.utils.profiler import (
     DeterministicProfiler,
     current_profiler,
-    disable_global_profiling,
-    enable_global_profiling,
-    global_profiler,
 )
 from repro.utils.telemetry import (
     InMemoryExporter,
@@ -22,9 +17,6 @@ from repro.utils.telemetry import (
     OpenMetricsExporter,
     TelemetrySink,
     current_sink,
-    disable_global_telemetry,
-    enable_global_telemetry,
-    global_telemetry,
     parse_openmetrics,
     render_openmetrics_snapshot,
     validate_openmetrics,
@@ -32,9 +24,6 @@ from repro.utils.telemetry import (
 from repro.utils.tracing import (
     Tracer,
     current_tracer,
-    disable_global_tracing,
-    enable_global_tracing,
-    global_tracer,
     read_trace,
 )
 from repro.utils.rng import as_generator, spawn_generators, spawn_seeds
@@ -52,28 +41,17 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Timer",
-    "enable_global_metrics",
-    "global_metrics",
-    "disable_global_metrics",
+    "current_metrics",
     "Tracer",
     "current_tracer",
-    "enable_global_tracing",
-    "global_tracer",
-    "disable_global_tracing",
     "read_trace",
     "DeterministicProfiler",
     "current_profiler",
-    "enable_global_profiling",
-    "global_profiler",
-    "disable_global_profiling",
     "TelemetrySink",
     "InMemoryExporter",
     "JsonlExporter",
     "OpenMetricsExporter",
     "current_sink",
-    "enable_global_telemetry",
-    "global_telemetry",
-    "disable_global_telemetry",
     "parse_openmetrics",
     "render_openmetrics_snapshot",
     "validate_openmetrics",

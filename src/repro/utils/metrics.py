@@ -19,10 +19,11 @@ Registries are cheap to create, picklable through :meth:`snapshot` /
 metrics back to the parent — histograms merge bucket-wise, exactly like
 counters), and render as an aligned terminal table.
 
-A process-wide default registry can be installed with
-:func:`enable_global_metrics`; the experiment harness consults it so a
-single ``--metrics`` flag instruments every nested run without threading
-a registry through every call site.
+A process-wide default registry lives in the :data:`METRICS` slot,
+filled only by :class:`repro.runtime.context.RunContext`; the experiment
+harness reads it with :func:`current_metrics` so a single ``--metrics``
+flag instruments every nested run without threading a registry through
+every call site.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from __future__ import annotations
 import math
 import time
 from typing import Dict, Optional
+
+from repro.utils.recorders import Slot
 
 #: snapshot type: {"counters": {...}, "timers": {name: {"calls", "total_seconds", "max_seconds"}}, "histograms": {name: {...}}}
 Snapshot = Dict[str, Dict[str, object]]
@@ -403,26 +406,11 @@ class MetricsRegistry:
 # --------------------------------------------------------------------- #
 # optional process-wide registry (CLI --metrics)
 # --------------------------------------------------------------------- #
-_GLOBAL: Optional[MetricsRegistry] = None
+#: the process-wide registry's slot; with nothing installed it reads ``None``
+METRICS: Slot[Optional[MetricsRegistry]] = Slot("metrics", None)
 
-
-def enable_global_metrics() -> MetricsRegistry:
-    """Install (or return the existing) process-wide registry."""
-    global _GLOBAL
-    if _GLOBAL is None:
-        _GLOBAL = MetricsRegistry()
-    return _GLOBAL
-
-
-def global_metrics() -> Optional[MetricsRegistry]:
-    """The process-wide registry, or ``None`` when not enabled."""
-    return _GLOBAL
-
-
-def disable_global_metrics() -> None:
-    """Remove the process-wide registry (mostly for tests)."""
-    global _GLOBAL
-    _GLOBAL = None
+#: the installed registry, or ``None`` when ``--metrics`` is off
+current_metrics = METRICS.current
 
 
 __all__ = [
@@ -430,7 +418,6 @@ __all__ = [
     "MetricsRegistry",
     "Timer",
     "Snapshot",
-    "enable_global_metrics",
-    "global_metrics",
-    "disable_global_metrics",
+    "METRICS",
+    "current_metrics",
 ]

@@ -22,12 +22,12 @@ Gregg's flamegraph.pl / speedscope both read it) or as `speedscope
 <https://www.speedscope.app/>`_ JSON (``evented: false`` sampled
 profile).
 
-A process-wide profiler is installed with
-:func:`enable_global_profiling` (the CLI ``--profile`` flag does this);
-call sites fetch it via :func:`current_profiler`, which returns a shared
-*disabled* profiler when profiling is off, so hot paths pay one global
-load plus one ``enabled`` check.  Enabling the profiler also enables
-global tracing — the span stack is what gets sampled — but does not by
+A process-wide profiler lives in the :data:`PROFILER` slot, filled only
+by :class:`repro.runtime.context.RunContext` (the CLI ``--profile``
+flag); call sites fetch it via :func:`current_profiler`, which returns a
+shared *disabled* profiler when profiling is off, so hot paths pay one
+call plus one ``enabled`` check.  A profiling run context also installs
+the tracer — the span stack is what gets sampled — but does not by
 itself write any trace file.
 """
 
@@ -37,6 +37,8 @@ import json
 from typing import Dict, IO, List, Optional, Tuple
 
 from repro.errors import ValidationError
+from repro.utils.files import atomic_write
+from repro.utils.recorders import Slot
 from repro.utils.tracing import Tracer, current_tracer
 
 #: export formats accepted by :meth:`DeterministicProfiler.write`
@@ -201,7 +203,7 @@ class DeterministicProfiler:
                 f"profile format must be one of {PROFILE_FORMATS}, "
                 f"got {format!r}"
             )
-        with open(path, "w", encoding="utf-8") as fp:
+        with atomic_write(path) as fp:
             if format == FORMAT_SPEEDSCOPE:
                 json.dump(self.speedscope(name=path), fp, sort_keys=True)
             else:
@@ -234,44 +236,13 @@ class DeterministicProfiler:
 # --------------------------------------------------------------------- #
 # optional process-wide profiler (CLI --profile)
 # --------------------------------------------------------------------- #
-_GLOBAL: Optional[DeterministicProfiler] = None
-_DISABLED = DeterministicProfiler(enabled=False)
+#: the process-wide profiler's slot; a shared disabled profiler stands in
+PROFILER: Slot[DeterministicProfiler] = Slot(
+    "profiler", DeterministicProfiler(enabled=False)
+)
 
-
-def enable_global_profiling(
-    sample_every: int = 1,
-) -> DeterministicProfiler:
-    """Install (or return the existing) process-wide profiler.
-
-    The profiler samples the tracer's open-span stack, so global tracing
-    must be enabled for stacks to be non-trivial; the runtime layer
-    (:class:`repro.runtime.context.RunContext`) brings the tracer up
-    alongside the profiler — this function mutates only its own global.
-    """
-    global _GLOBAL
-    if _GLOBAL is None:
-        _GLOBAL = DeterministicProfiler(sample_every=sample_every)
-    return _GLOBAL
-
-
-def global_profiler() -> Optional[DeterministicProfiler]:
-    """The process-wide profiler, or ``None`` when profiling is off."""
-    return _GLOBAL
-
-
-def disable_global_profiling() -> None:
-    """Remove the process-wide profiler (tests, CLI teardown)."""
-    global _GLOBAL
-    _GLOBAL = None
-
-
-def current_profiler() -> DeterministicProfiler:
-    """The global profiler, or a shared disabled one when profiling is off.
-
-    Mirrors :func:`repro.utils.tracing.current_tracer`: the disabled
-    path costs one global load plus one ``enabled`` check.
-    """
-    return _GLOBAL if _GLOBAL is not None else _DISABLED
+#: the installed profiler, or the disabled stand-in when profiling is off
+current_profiler = PROFILER.current
 
 
 __all__ = [
@@ -280,8 +251,6 @@ __all__ = [
     "PROFILE_FORMATS",
     "IDLE_FRAME",
     "DeterministicProfiler",
-    "enable_global_profiling",
-    "global_profiler",
-    "disable_global_profiling",
+    "PROFILER",
     "current_profiler",
 ]

@@ -17,12 +17,12 @@ This module turns both into signals another system can consume:
 * :func:`render_openmetrics` / :func:`parse_openmetrics` round-trip the
   exposition text, so an export can be validated byte for byte.
 
-Like the tracer, a process-wide sink is installed with
-:func:`enable_global_telemetry` (the CLI ``--openmetrics`` /
-``--telemetry`` flags do this); instrumented call sites fetch it via
-:func:`current_sink`, which hands back a shared *disabled* sink when
-telemetry is off — the hot paths pay one global load plus one ``enabled``
-check and nothing else.
+Like the tracer, a process-wide sink lives in the :data:`TELEMETRY`
+slot, filled only by :class:`repro.runtime.context.RunContext` (the CLI
+``--openmetrics`` / ``--telemetry`` flags); instrumented call sites
+fetch it via :func:`current_sink`, which hands back a shared *disabled*
+sink when telemetry is off — the hot paths pay one call plus one
+``enabled`` check and nothing else.
 
 Metric naming
 -------------
@@ -41,7 +41,9 @@ import re
 from typing import Dict, IO, List, Optional, Tuple
 
 from repro.errors import ValidationError
+from repro.utils.files import atomic_write
 from repro.utils.metrics import Histogram, MetricsRegistry
+from repro.utils.recorders import Slot
 
 #: snapshot schema version carried in every JSONL line
 SNAPSHOT_VERSION = 1
@@ -125,7 +127,7 @@ class OpenMetricsExporter:
         self.path = path
 
     def export(self, snapshot: Dict[str, object]) -> None:
-        with open(self.path, "w", encoding="utf-8") as fp:
+        with atomic_write(self.path) as fp:
             fp.write(render_openmetrics_snapshot(snapshot))
 
     def close(self) -> None:
@@ -478,44 +480,11 @@ def validate_openmetrics(text: str) -> int:
 # --------------------------------------------------------------------- #
 # optional process-wide sink (CLI --openmetrics / --telemetry)
 # --------------------------------------------------------------------- #
-_GLOBAL: Optional[TelemetrySink] = None
-_DISABLED = TelemetrySink(enabled=False)
+#: the process-wide sink's slot; a shared disabled sink stands in
+TELEMETRY: Slot[TelemetrySink] = Slot("telemetry", TelemetrySink(enabled=False))
 
-
-def enable_global_telemetry(
-    registry: Optional[MetricsRegistry] = None,
-) -> TelemetrySink:
-    """Install (or return the existing) process-wide sink.
-
-    When a sink already exists and ``registry`` is given, the registry is
-    attached to it (a later ``--metrics`` flag should not be lost).
-    """
-    global _GLOBAL
-    if _GLOBAL is None:
-        _GLOBAL = TelemetrySink(registry=registry)
-    elif registry is not None and _GLOBAL.registry is None:
-        _GLOBAL.registry = registry
-    return _GLOBAL
-
-
-def global_telemetry() -> Optional[TelemetrySink]:
-    """The process-wide sink, or ``None`` when telemetry is off."""
-    return _GLOBAL
-
-
-def disable_global_telemetry() -> None:
-    """Remove the process-wide sink (mostly for tests and CLI teardown)."""
-    global _GLOBAL
-    _GLOBAL = None
-
-
-def current_sink() -> TelemetrySink:
-    """The global sink, or a shared disabled sink when telemetry is off.
-
-    Mirrors :func:`repro.utils.tracing.current_tracer`: the disabled
-    path costs one global load plus one ``enabled`` check.
-    """
-    return _GLOBAL if _GLOBAL is not None else _DISABLED
+#: the installed sink, or the disabled stand-in when telemetry is off
+current_sink = TELEMETRY.current
 
 
 __all__ = [
@@ -531,8 +500,6 @@ __all__ = [
     "render_openmetrics_snapshot",
     "parse_openmetrics",
     "validate_openmetrics",
-    "enable_global_telemetry",
-    "global_telemetry",
-    "disable_global_telemetry",
+    "TELEMETRY",
     "current_sink",
 ]

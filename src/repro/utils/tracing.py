@@ -28,11 +28,11 @@ the worker's root spans under the parent run and remaps span ids into
 the parent's id space deterministically (merge order decides ids, and
 the harness merges in task order).
 
-A process-wide tracer is installed with :func:`enable_global_tracing`
-(the CLI ``--trace`` flag does this); instrumented call sites fetch it
-via :func:`current_tracer`, which returns a shared *disabled* tracer
-when tracing is off, so the hot paths pay one attribute check and
-nothing else.
+A process-wide tracer lives in the :data:`TRACER` slot, filled only by
+:class:`repro.runtime.context.RunContext` (the CLI ``--trace`` flag);
+instrumented call sites fetch it via :func:`current_tracer`, which
+returns a shared *disabled* tracer when tracing is off, so the hot paths
+pay one call plus one attribute check and nothing else.
 
 Span timestamps are ``time.perf_counter`` deltas re-based onto the wall
 clock at tracer creation: monotonic within a process, and comparable
@@ -45,10 +45,11 @@ import json
 import os
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Deque, Dict, IO, Iterable, Iterator, List, Optional, Union
+from typing import Deque, Dict, IO, Iterable, List, Optional, Union
 
 from repro.errors import ValidationError
+from repro.utils.files import atomic_write, read_text
+from repro.utils.recorders import Slot
 
 #: default ring-buffer capacity (records, spans and events combined)
 DEFAULT_CAPACITY = 200_000
@@ -353,7 +354,7 @@ class Tracer:
             raise ValidationError(
                 f"trace format must be one of {FORMATS}, got {format!r}"
             )
-        with open(path, "w", encoding="utf-8") as fp:
+        with atomic_write(path) as fp:
             if format == FORMAT_CHROME:
                 self.write_chrome(fp)
             else:
@@ -461,6 +462,23 @@ def _chrome_to_record(entry: Record) -> Optional[Record]:
     return None  # other phase types (metadata etc.) are not ours
 
 
+def _checked(record: object, where: str) -> Record:
+    """``record`` if it is a JSON object, and a span has a name and
+    numeric ``start``/``end``; otherwise a :class:`ValidationError`."""
+    if not isinstance(record, dict):
+        raise ValidationError(
+            f"{where}: expected a JSON object, got {type(record).__name__}"
+        )
+    if record.get("type") == SPAN and not (
+        isinstance(record.get("name"), str)
+        and all(isinstance(record.get(k), (int, float)) for k in ("start", "end"))
+    ):
+        raise ValidationError(
+            f"{where}: a span needs a name and numeric start/end"
+        )
+    return record
+
+
 def read_trace(path: str) -> Dict[str, object]:
     """Load a trace file written by :meth:`Tracer.write` (either format).
 
@@ -469,17 +487,7 @@ def read_trace(path: str) -> Dict[str, object]:
     from the content: a JSON object with ``traceEvents`` is Chrome
     format, anything else is JSONL.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            content = fp.read()
-    except FileNotFoundError:
-        raise ValidationError(f"no such file: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot read {path}: {exc.strerror or exc}"
-        ) from None
+    content = read_text(path)
     stripped = content.lstrip()
     if stripped.startswith("{") and '"traceEvents"' in stripped[:2000]:
         try:
@@ -488,97 +496,55 @@ def read_trace(path: str) -> Dict[str, object]:
             raise ValidationError(
                 f"{path} is not a valid trace file: {exc}"
             ) from None
-        records = [
-            rec
-            for rec in (
-                _chrome_to_record(e) for e in data.get("traceEvents", [])
-            )
-            if rec is not None
-        ]
-        meta = data.get("otherData") or {}
+        entries = data.get("traceEvents", [])
+        if not isinstance(entries, list):
+            raise ValidationError(f"{path}: traceEvents must be a list")
+        records = []
+        for index, entry in enumerate(entries):
+            where = f"{path}: traceEvents[{index}]"
+            entry = _checked(entry, where)
+            try:
+                record = _chrome_to_record(entry)
+            except (TypeError, ValueError):
+                raise ValidationError(f"{where}: malformed trace event") from None
+            if record is not None:
+                records.append(record)
+        meta, where = data.get("otherData") or {}, f"{path}: otherData"
+    else:
+        records, meta, where = [], {}, path
+        for lineno, line in enumerate(content.splitlines(), 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(
+                    f"{path} is not a valid trace file: {exc}"
+                ) from None
+            record = _checked(record, f"{path}:{lineno}")
+            if record.get("type") == META:
+                meta, where = record, f"{path}:{lineno}"
+                continue
+            records.append(record)
+    try:
         return {
             "records": records,
             "dropped": int(meta.get("dropped", 0)),
             "dropped_by_kind": dict(meta.get("dropped_by_kind") or {}),
         }
-    records: List[Record] = []
-    dropped = 0
-    dropped_by_kind: Dict[str, int] = {}
-    for line in content.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path} is not a valid trace file: {exc}"
-            ) from None
-        if record.get("type") == META:
-            dropped = int(record.get("dropped", 0))
-            dropped_by_kind = dict(record.get("dropped_by_kind") or {})
-            continue
-        records.append(record)
-    return {
-        "records": records,
-        "dropped": dropped,
-        "dropped_by_kind": dropped_by_kind,
-    }
+    except (AttributeError, TypeError, ValueError):
+        raise ValidationError(f"{where}: malformed dropped count") from None
 
 
 # --------------------------------------------------------------------- #
 # optional process-wide tracer (CLI --trace)
 # --------------------------------------------------------------------- #
-_GLOBAL: Optional[Tracer] = None
-_DISABLED = Tracer(capacity=1, enabled=False)
+#: the process-wide tracer's slot; a shared disabled tracer stands in
+TRACER: Slot[Tracer] = Slot("tracer", Tracer(capacity=1, enabled=False))
 
-
-def enable_global_tracing(capacity: int = DEFAULT_CAPACITY) -> Tracer:
-    """Install (or return the existing) process-wide tracer."""
-    global _GLOBAL
-    if _GLOBAL is None:
-        _GLOBAL = Tracer(capacity=capacity)
-    return _GLOBAL
-
-
-def global_tracer() -> Optional[Tracer]:
-    """The process-wide tracer, or ``None`` when tracing is off."""
-    return _GLOBAL
-
-
-def disable_global_tracing() -> None:
-    """Remove the process-wide tracer (workers do this between tasks)."""
-    global _GLOBAL
-    _GLOBAL = None
-
-
-def current_tracer() -> Tracer:
-    """The global tracer, or a shared disabled tracer when tracing is off.
-
-    Instrumented call sites use this so the disabled path costs one
-    global load plus one ``enabled`` check — no allocation, no branches
-    in the caller.
-    """
-    return _GLOBAL if _GLOBAL is not None else _DISABLED
-
-
-@contextmanager
-def temporary_tracer(capacity: int = DEFAULT_CAPACITY) -> Iterator[Tracer]:
-    """Install a fresh process-wide tracer for the duration of a block.
-
-    Whatever tracer was installed before (including none) is restored on
-    exit, even when the body raises.  The conformance oracle uses this to
-    observe instrumentation events (``sra.place`` benefits) without
-    clobbering a ``--trace`` session the caller may be running.
-    """
-    global _GLOBAL
-    previous = _GLOBAL
-    tracer = Tracer(capacity=capacity)
-    _GLOBAL = tracer
-    try:
-        yield tracer
-    finally:
-        _GLOBAL = previous
+#: the installed tracer, or the disabled stand-in when tracing is off
+current_tracer = TRACER.current
 
 
 __all__ = [
@@ -592,9 +558,6 @@ __all__ = [
     "Record",
     "Tracer",
     "read_trace",
-    "enable_global_tracing",
-    "global_tracer",
-    "disable_global_tracing",
+    "TRACER",
     "current_tracer",
-    "temporary_tracer",
 ]

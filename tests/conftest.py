@@ -42,47 +42,24 @@ except ImportError:  # hypothesis is optional; property tests self-skip
 
 @pytest.fixture(autouse=True)
 def _no_leaked_globals():
-    """Fail any test that leaves a process-wide singleton installed.
+    """Fail any test that leaves a process-wide recorder installed.
 
-    The runtime layer (``repro.runtime.context.RunContext``) owns the
-    global tracer / telemetry sink / profiler / metrics registry and
-    guarantees teardown; a test that enables one directly must disable
-    it again, or every later test silently runs traced/metered.  The
-    leaked singletons are cleared here regardless, so one offender
-    cannot cascade.
+    The runtime layer (``repro.runtime.context.RunContext``) owns every
+    slot in its ``RECORDERS`` table and guarantees teardown; a test that
+    fills one directly must empty it again, or every later test silently
+    runs traced/metered.  Leaked recorders are cleared here regardless,
+    so one offender cannot cascade.
     """
-    from repro.obs.ledger import disable_global_ledger, global_ledger
-    from repro.utils.metrics import disable_global_metrics, global_metrics
-    from repro.utils.profiler import (
-        disable_global_profiling,
-        global_profiler,
-    )
-    from repro.utils.telemetry import (
-        disable_global_telemetry,
-        global_telemetry,
-    )
-    from repro.utils.tracing import disable_global_tracing, global_tracer
+    from repro.runtime.context import RECORDERS
+    from repro.utils.recorders import uninstall_recorder
 
     yield
-    leaked = [
-        name
-        for name, get in (
-            ("tracer", global_tracer),
-            ("telemetry sink", global_telemetry),
-            ("profiler", global_profiler),
-            ("metrics registry", global_metrics),
-            ("placement ledger", global_ledger),
-        )
-        if get() is not None
-    ]
-    disable_global_profiling()
-    disable_global_tracing()
-    disable_global_telemetry()
-    disable_global_metrics()
-    disable_global_ledger()
+    leaked = [slot.name for slot in RECORDERS if slot.recorder is not None]
+    for slot in RECORDERS:
+        uninstall_recorder(slot)
     if leaked:
         pytest.fail(
-            "test leaked process-wide singletons: " + ", ".join(leaked)
+            "test leaked process-wide recorders: " + ", ".join(leaked)
         )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -142,6 +144,102 @@ def test_directory_to_reader_is_clean_error(reader, tmp_path, capsys):
     assert "cannot read" in captured.err
 
 
+#: valid JSON of the wrong shape for ``repro trace``: (text, message)
+_MALFORMED_TRACES = {
+    "line-is-list": ("[1,2]\n", ":1: expected a JSON object, got list"),
+    "line-is-number": ("3\n", ":1: expected a JSON object, got int"),
+    "span-without-times": (
+        '{"type":"span","name":"x"}\n', ":1: a span needs a name"
+    ),
+    "chrome-event-not-object": (
+        '{"traceEvents":[1]}', "traceEvents[0]: expected a JSON object"
+    ),
+    "chrome-events-not-list": (
+        '{"traceEvents":5}', "traceEvents must be a list"
+    ),
+    "meta-dropped-not-number": (
+        '{"type":"meta","dropped":"x"}\n', ":1: malformed dropped count"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_TRACES))
+def test_wrong_shape_trace_is_clean_error(case, tmp_path, capsys):
+    text, message = _MALFORMED_TRACES[case]
+    path = tmp_path / "bad.trace"
+    path.write_text(text)
+    assert main(["trace", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+def test_wrong_shape_ledger_is_clean_error(tmp_path, capsys):
+    path = tmp_path / "bad.ledger.jsonl"
+    path.write_text('{"seq": 0, "action": "add", "obj": 0, "site": 0}\n[1,2]\n')
+    assert main(["explain", str(path), "--object", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert ":2: expected a JSON object, got list" in captured.err
+
+
+def _sizes_not_numeric(document):
+    document["data"]["sizes"] = "x"
+
+
+#: right ``kind``, wrong shape: (command, edit, message)
+_MALFORMED_DOCUMENTS = {
+    "instance-without-data": (
+        "solve", lambda d: d.pop("data"), "has no 'data' field"
+    ),
+    "instance-data-is-list": (
+        "solve", lambda d: d.update(data=[]), "must be a JSON object, got list"
+    ),
+    "instance-sizes-not-numeric": (
+        "solve", _sizes_not_numeric, "field 'sizes' is not a numeric array"
+    ),
+    "scheme-without-scheme": (
+        "simulate", lambda d: d.pop("scheme"), "has no 'scheme' field"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_DOCUMENTS))
+def test_wrong_shape_document_is_clean_error(
+    case, instance_file, tmp_path, capsys
+):
+    command, edit, message = _MALFORMED_DOCUMENTS[case]
+    source = instance_file
+    if command == "simulate":
+        source = tmp_path / "scheme.json"
+        assert main([
+            "solve", str(instance_file), "--algorithm", "sra",
+            "--save-scheme", str(source),
+        ]) == 0
+    document = json.loads(source.read_text())
+    edit(document)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+def test_wrong_shape_shrink_artifact_is_clean_error(tmp_path, capsys):
+    from repro.conformance.shrink import ARTIFACT_KIND, ARTIFACT_VERSION
+
+    path = tmp_path / "CONFORM_repro.json"
+    path.write_text(json.dumps(
+        {"kind": ARTIFACT_KIND, "version": ARTIFACT_VERSION, "instance": {}}
+    ))
+    assert main(["conform", "shrink", "--artifact", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "has no 'cost' field" in captured.err
+
+
 def test_figures_delegates(capsys):
     assert main(["figures"]) == 2  # no figure selected: help + exit 2
     assert "repro-experiments" in capsys.readouterr().out
@@ -151,7 +249,7 @@ def test_figures_delegates(capsys):
 # --trace / repro trace
 # --------------------------------------------------------------------- #
 def test_solve_trace_gra_spans_match_history(instance_file, tmp_path, capsys):
-    from repro.utils.tracing import global_tracer, read_trace
+    from repro.utils.tracing import TRACER, read_trace
 
     trace_path = tmp_path / "gra.trace.json"
     assert main([
@@ -160,7 +258,7 @@ def test_solve_trace_gra_spans_match_history(instance_file, tmp_path, capsys):
         "--trace", str(trace_path), "--trace-format", "chrome",
     ]) == 0
     assert "trace written" in capsys.readouterr().out
-    assert global_tracer() is None  # the CLI cleans up after itself
+    assert TRACER.recorder is None  # the CLI cleans up after itself
     records = read_trace(str(trace_path))["records"]
     generations = [r for r in records if r["name"] == "gra.generation"]
     # 5 generations + the seeded population = 6 spans, one per

@@ -20,6 +20,7 @@ from repro.experiments.parallel import (
     parallel_average_static_runs,
     resolve_max_workers,
 )
+from repro.runtime import RunContext
 from repro.utils.metrics import MetricsRegistry
 from repro.workload import WorkloadSpec
 
@@ -225,18 +226,11 @@ def _trace_shape(tracer):
 
 
 def test_worker_traces_reparented_under_sweep_root():
-    from repro.utils.tracing import (
-        disable_global_tracing,
-        enable_global_tracing,
-    )
-
-    disable_global_tracing()
-    tracer = enable_global_tracing()
-    try:
+    with RunContext(trace=True).activate() as ctx:
         ParallelRunner(max_workers=2).average_static_runs(
             SPEC, FACTORIES, instances=2, seed=7
         )
-        records = tracer.records()
+        records = ctx.tracer.records()
         roots = [
             r for r in records if r["name"] == "harness.average_static_runs"
         ]
@@ -258,54 +252,34 @@ def test_worker_traces_reparented_under_sweep_root():
         assert len(solves) >= len(tasks)
         ids = [r["id"] for r in records]
         assert len(ids) == len(set(ids))
-    finally:
-        disable_global_tracing()
 
 
 def test_worker_trace_merge_is_deterministic():
-    from repro.utils.tracing import (
-        disable_global_tracing,
-        enable_global_tracing,
-    )
-
     shapes = []
     for _ in range(2):
-        disable_global_tracing()
-        tracer = enable_global_tracing()
-        try:
+        with RunContext(trace=True).activate() as ctx:
             ParallelRunner(max_workers=2).average_static_runs(
                 SPEC, FACTORIES, instances=2, seed=7
             )
-            shapes.append(_trace_shape(tracer))
-        finally:
-            disable_global_tracing()
+            shapes.append(_trace_shape(ctx.tracer))
     assert shapes[0] == shapes[1]
 
 
 def test_serial_run_traces_inline_without_duplication():
-    from repro.utils.tracing import (
-        disable_global_tracing,
-        enable_global_tracing,
-    )
-
-    disable_global_tracing()
-    tracer = enable_global_tracing()
-    try:
+    with RunContext(trace=True).activate() as ctx:
         ParallelRunner(max_workers=1).average_static_runs(
             SPEC, FACTORIES, instances=2, seed=7
         )
         tasks = [
-            r for r in tracer.records() if r["name"] == "harness.task"
+            r for r in ctx.tracer.records() if r["name"] == "harness.task"
         ]
         assert len(tasks) == len(FACTORIES) * 2
-    finally:
-        disable_global_tracing()
 
 
 def test_no_tracing_no_task_spans():
-    from repro.utils.tracing import global_tracer
+    from repro.utils.tracing import TRACER
 
-    assert global_tracer() is None
+    assert TRACER.recorder is None
     averages = ParallelRunner(max_workers=1).average_static_runs(
         SPEC, FACTORIES, instances=1, seed=7
     )
@@ -386,22 +360,13 @@ def _span_name_tree(tracer):
 
 
 def test_chaos_replay_trace_shape_matches_across_modes():
-    from repro.utils.tracing import (
-        disable_global_tracing,
-        enable_global_tracing,
-    )
-
     shapes = []
     for workers in (1, 2):
-        disable_global_tracing()
-        tracer = enable_global_tracing()
-        try:
+        with RunContext(trace=True).activate() as ctx:
             ParallelRunner(max_workers=workers).chaos_replay_runs(
                 SPEC, _chaos_plan(), instances=2, seed=47
             )
-            shapes.append(_span_name_tree(tracer))
-        finally:
-            disable_global_tracing()
+            shapes.append(_span_name_tree(ctx.tracer))
     assert shapes[0] == shapes[1]
     names = [name for name, _ in shapes[0]]
     assert names.count("harness.chaos_task") == 2

@@ -54,7 +54,7 @@ def test_parser_accepts_parallel_and_metrics():
 def test_main_metrics_flag_prints_registry(capsys, monkeypatch):
     from repro.experiments import runner as runner_mod
     from repro.experiments.figures import clear_cache
-    from repro.utils.metrics import global_metrics
+    from repro.utils.metrics import METRICS
 
     clear_cache()
     monkeypatch.setattr(runner_mod, "get_profile", lambda name="": MICRO)
@@ -65,7 +65,7 @@ def test_main_metrics_flag_prints_registry(capsys, monkeypatch):
     assert "solve.SRA" in out
     assert "cost.cache_" in out
     # the flag must not leak a process-wide registry past main()
-    assert global_metrics() is None
+    assert METRICS.recorder is None
     clear_cache()
 
 
@@ -86,7 +86,7 @@ def test_main_parallel_flag_resets_default(monkeypatch, capsys):
 
 def test_main_trace_flag_writes_trace(monkeypatch, capsys, tmp_path):
     import repro.experiments.runner as runner_mod
-    from repro.utils.tracing import global_tracer, read_trace
+    from repro.utils.tracing import TRACER, read_trace
 
     monkeypatch.setattr(runner_mod, "get_profile", lambda name="": MICRO)
     trace_path = tmp_path / "sweep.trace.jsonl"
@@ -95,7 +95,7 @@ def test_main_trace_flag_writes_trace(monkeypatch, capsys, tmp_path):
     ]) == 0
     assert "trace written" in capsys.readouterr().out
     # the flag must not leak a process-wide tracer past main()
-    assert global_tracer() is None
+    assert TRACER.recorder is None
     records = read_trace(str(trace_path))["records"]
     names = {r["name"] for r in records}
     assert "harness.average_static_runs" in names

@@ -7,12 +7,12 @@ which CI additionally runs on a runner that has the tool installed):
    lazily inside functions.  In particular ``repro.core`` (and the other
    kernel layers) may never reach into ``sim``/``experiments``/``cli``/
    ``runtime``.
-2. **Singleton ownership** — the process-wide tracer / telemetry sink /
-   profiler / metrics registry / placement ledger may be mutated
-   (``enable_global_*`` / ``disable_global_*`` / ``temporary_*``) only
-   by their defining modules in ``repro.utils`` / ``repro.obs`` and by
-   ``repro/runtime/``.  Everything else must go through
-   :class:`repro.runtime.context.RunContext`.
+2. **Recorder ownership** — the process-wide tracer / telemetry sink /
+   profiler / metrics registry / placement ledger slots may be mutated
+   (``install_recorder`` / ``uninstall_recorder`` / ``scoped_recorder``,
+   or a direct ``slot.recorder = ...``) only by
+   ``repro/utils/recorders.py`` and ``repro/runtime/``.  Everything else
+   must go through :class:`repro.runtime.context.RunContext`.
 """
 
 from __future__ import annotations
@@ -59,21 +59,9 @@ FORBIDDEN_IMPORTS: Dict[str, Set[str]] = {
     "runtime": {"cli", "conformance", "experiments", "analysis", "io"},
 }
 
-#: the process-wide singleton mutators and the module defining each
-MUTATORS: Dict[str, str] = {
-    "enable_global_tracing": "utils/tracing.py",
-    "disable_global_tracing": "utils/tracing.py",
-    "temporary_tracer": "utils/tracing.py",
-    "enable_global_telemetry": "utils/telemetry.py",
-    "disable_global_telemetry": "utils/telemetry.py",
-    "enable_global_profiling": "utils/profiler.py",
-    "disable_global_profiling": "utils/profiler.py",
-    "enable_global_metrics": "utils/metrics.py",
-    "disable_global_metrics": "utils/metrics.py",
-    "enable_global_ledger": "obs/ledger.py",
-    "disable_global_ledger": "obs/ledger.py",
-    "temporary_ledger": "obs/ledger.py",
-}
+#: the only process-wide recorder mutators, all defined in MUTATOR_MODULE
+MUTATORS: Set[str] = {"install_recorder", "uninstall_recorder", "scoped_recorder"}
+MUTATOR_MODULE = "utils/recorders.py"
 
 
 def _modules() -> Iterator[Tuple[str, str, ast.AST]]:
@@ -124,35 +112,62 @@ def test_no_layer_imports_upward():
     )
 
 
-def _mutator_calls(tree: ast.AST) -> Set[str]:
-    called: Set[str] = set()
+def _mutations(tree: ast.AST) -> Set[str]:
+    """Mutator calls (by name or attribute) and ``*.recorder =`` writes."""
+    found: Set[str] = set()
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name in MUTATORS:
-            called.add(name)
-    return called
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = None
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            if name in MUTATORS:
+                found.add(f"{name}()")
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(
+                isinstance(t, ast.Attribute) and t.attr == "recorder"
+                for t in targets
+            ):
+                found.add(".recorder =")
+    return found
+
+
+def _mutation_violations(rel: str, segment: str, tree: ast.AST) -> List[str]:
+    if segment == "runtime" or rel.replace(os.sep, "/") == MUTATOR_MODULE:
+        return []  # the one legitimate owner, and the mutators themselves
+    return [f"{rel} uses {what}" for what in sorted(_mutations(tree))]
 
 
 def test_only_runtime_mutates_global_singletons():
     violations = []
     for rel, segment, tree in _modules():
-        if segment == "runtime":
-            continue  # the one legitimate owner outside utils
-        for name in sorted(_mutator_calls(tree)):
-            if rel.replace(os.sep, "/") == MUTATORS[name]:
-                continue  # a mutator's own defining module
-            violations.append(f"{rel} calls {name}()")
+        violations.extend(_mutation_violations(rel, segment, tree))
     assert not violations, (
-        "global-singleton mutations outside repro/runtime/:\n  "
+        "recorder-slot mutations outside repro/runtime/:\n  "
         + "\n  ".join(violations)
     )
+
+
+def test_recorder_mutation_outside_runtime_is_flagged():
+    """The AST walk still catches every form of slot mutation."""
+    snippet = ast.parse(
+        "from repro.utils import recorders\n"
+        "from repro.utils.recorders import install_recorder\n"
+        "install_recorder(TRACER, Tracer)\n"
+        "with recorders.scoped_recorder(LEDGER, PlacementLedger()):\n"
+        "    pass\n"
+        "TRACER.recorder = None\n"
+    )
+    assert _mutation_violations("sim/engine.py", "sim", snippet) == [
+        "sim/engine.py uses .recorder =",
+        "sim/engine.py uses install_recorder()",
+        "sim/engine.py uses scoped_recorder()",
+    ]
+    assert _mutation_violations("runtime/context.py", "runtime", snippet) == []
+    assert _mutation_violations(MUTATOR_MODULE, "utils", snippet) == []
 
 
 def test_contracts_cover_every_package():

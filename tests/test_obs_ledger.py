@@ -1,4 +1,4 @@
-"""The placement ledger: recording, scopes, replay, explain, globals."""
+"""The placement ledger: recording, scopes, replay, explain, the slot."""
 
 from __future__ import annotations
 
@@ -6,20 +6,16 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.obs.ledger import (
+    LEDGER,
     PlacementLedger,
     current_ledger,
-    disable_global_ledger,
-    enable_global_ledger,
     explain_entries,
-    global_ledger,
     read_ledger,
     render_explanation,
-    temporary_ledger,
 )
-from repro.utils.tracing import (
-    disable_global_tracing,
-    enable_global_tracing,
-)
+from repro.runtime import RunContext
+from repro.runtime.context import scoped_ledger
+from repro.utils.recorders import install_recorder, uninstall_recorder
 
 
 # --------------------------------------------------------------------- #
@@ -110,7 +106,7 @@ def test_disabled_ledger_is_a_noop():
 
 
 def test_current_ledger_is_disabled_when_feature_off():
-    assert global_ledger() is None
+    assert LEDGER.recorder is None
     assert not current_ledger().enabled
     # the shared disabled ledger never accumulates state
     current_ledger().record("add", obj=0, site=0)
@@ -121,16 +117,13 @@ def test_current_ledger_is_disabled_when_feature_off():
 # causal parent stamping
 # --------------------------------------------------------------------- #
 def test_causal_parent_is_open_span_when_tracing():
-    tracer = enable_global_tracing()
-    try:
+    with RunContext(trace=True).activate() as ctx:
         ledger = PlacementLedger()
-        with tracer.span("sra.solve") as span:
+        with ctx.tracer.span("sra.solve") as span:
             inside = ledger.record("add", obj=1, site=2)
         outside = ledger.record("drop", obj=1, site=2)
-        assert inside["causal_parent"] == span.id
-        assert "causal_parent" not in outside
-    finally:
-        disable_global_tracing()
+    assert inside["causal_parent"] == span.id
+    assert "causal_parent" not in outside
 
 
 def test_no_causal_parent_without_tracer():
@@ -216,37 +209,37 @@ def test_render_explanation_empty_chain_hint():
 
 
 # --------------------------------------------------------------------- #
-# the process-wide ledger
+# the process-wide ledger slot
 # --------------------------------------------------------------------- #
 def test_global_ledger_lifecycle():
-    assert global_ledger() is None
-    ledger = enable_global_ledger()
+    assert LEDGER.recorder is None
+    ledger = install_recorder(LEDGER, PlacementLedger)
     try:
-        assert global_ledger() is ledger
+        assert LEDGER.recorder is ledger
         assert current_ledger() is ledger
-        # idempotent: a second enable returns the installed ledger
-        assert enable_global_ledger() is ledger
+        # idempotent: a second install returns the installed ledger
+        assert install_recorder(LEDGER, PlacementLedger) is ledger
     finally:
-        disable_global_ledger()
-    assert global_ledger() is None
+        uninstall_recorder(LEDGER)
+    assert LEDGER.recorder is None
 
 
 def test_temporary_ledger_restores_previous():
-    outer = enable_global_ledger()
+    outer = install_recorder(LEDGER, PlacementLedger)
     try:
         outer.record("add", obj=0, site=0)
-        with temporary_ledger() as inner:
+        with scoped_ledger() as inner:
             assert current_ledger() is inner
             inner.record("drop", obj=0, site=0)
         assert current_ledger() is outer
         # the scratch ledger never leaked entries into the outer one
         assert [e["action"] for e in outer.entries()] == ["add"]
     finally:
-        disable_global_ledger()
+        uninstall_recorder(LEDGER)
 
 
 def test_temporary_ledger_restores_on_error():
     with pytest.raises(RuntimeError):
-        with temporary_ledger():
+        with scoped_ledger():
             raise RuntimeError("boom")
-    assert global_ledger() is None
+    assert LEDGER.recorder is None

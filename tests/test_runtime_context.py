@@ -23,49 +23,58 @@ from repro.runtime import (
     default_registry,
     resolve_max_workers,
 )
-from repro.utils.metrics import global_metrics
-from repro.utils.profiler import global_profiler
-from repro.utils.telemetry import current_sink, global_telemetry
-from repro.utils.tracing import current_tracer, global_tracer
+from repro.runtime.context import RECORDERS
+from repro.utils.metrics import METRICS, MetricsRegistry
+from repro.utils.telemetry import TELEMETRY, current_sink
+from repro.utils.tracing import TRACER, current_tracer
 
 
 # --------------------------------------------------------------------- #
 # lifecycle
 # --------------------------------------------------------------------- #
 def test_install_teardown_owns_everything():
-    ctx = RunContext(trace=True, profile=True, telemetry=True, metrics=True)
+    ctx = RunContext(
+        trace=True, profile=True, telemetry=True, metrics=True, ledger=True
+    )
     assert current_context() is None
     with ctx.activate():
         assert current_context() is ctx
-        assert global_tracer() is not None
-        assert global_profiler() is not None
-        assert global_telemetry() is not None
-        assert global_metrics() is not None
+        assert all(slot.recorder is not None for slot in RECORDERS)
         assert ctx.tracer.enabled
         assert ctx.sink.enabled
+        assert ctx.ledger.enabled
+        assert ctx.profiler.enabled
+        assert ctx.metrics is METRICS.recorder
     assert current_context() is None
-    assert global_tracer() is None
-    assert global_profiler() is None
-    assert global_telemetry() is None
-    assert global_metrics() is None
+    assert all(slot.recorder is None for slot in RECORDERS)
 
 
 def test_teardown_is_idempotent_and_adopts_preinstalled():
-    from repro.utils.tracing import (
-        disable_global_tracing,
-        enable_global_tracing,
-    )
-
-    pre = enable_global_tracing()
-    try:
+    with RunContext(trace=True).activate() as outer:
+        pre = outer.tracer
         ctx = RunContext(trace=True)
         ctx.install()
         assert ctx.tracer is pre, "existing tracer is adopted, not replaced"
         ctx.teardown()
         ctx.teardown()  # second teardown is a no-op
-        assert global_tracer() is pre, "adopted components are left in place"
-    finally:
-        disable_global_tracing()
+        assert TRACER.recorder is pre, "adopted components are left in place"
+    assert TRACER.recorder is None
+
+
+def test_adopted_sink_gets_the_context_registry():
+    with RunContext(telemetry=True).activate() as outer:
+        assert outer.sink.registry is None
+        with RunContext(telemetry=True, metrics=True).activate() as ctx:
+            assert ctx.sink is outer.sink, "the installed sink is adopted"
+            assert ctx.sink.registry is ctx.metrics is METRICS.recorder
+        assert TELEMETRY.recorder is outer.sink
+        assert METRICS.recorder is None, "the registry was the inner's own"
+    # a sink that already reports a registry keeps it
+    registry = MetricsRegistry()
+    with RunContext(telemetry=True, registry=registry).activate() as outer:
+        with RunContext(telemetry=True, metrics=True).activate() as ctx:
+            assert ctx.sink is outer.sink
+            assert ctx.sink.registry is registry
 
 
 def test_double_install_rejected_and_installed_not_picklable():
@@ -81,14 +90,12 @@ def test_double_install_rejected_and_installed_not_picklable():
 
 
 def test_explicit_registry_is_not_installed_globally():
-    from repro.utils.metrics import MetricsRegistry
-
     registry = MetricsRegistry()
     with RunContext(telemetry=True, registry=registry).activate() as ctx:
         assert ctx.metrics is registry
-        assert global_metrics() is None
+        assert METRICS.recorder is None
         assert current_sink().registry is registry
-    assert global_telemetry() is None
+    assert TELEMETRY.recorder is None
 
 
 def test_parallelism_policy_installed_and_restored(monkeypatch):

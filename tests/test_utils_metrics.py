@@ -1,4 +1,4 @@
-"""The metrics registry: counters, timers, snapshots, the global hook."""
+"""The metrics registry: counters, timers, histograms, snapshots."""
 
 from __future__ import annotations
 
@@ -7,9 +7,6 @@ import pytest
 from repro.utils.metrics import (
     Histogram,
     MetricsRegistry,
-    disable_global_metrics,
-    enable_global_metrics,
-    global_metrics,
 )
 
 
@@ -208,19 +205,6 @@ def test_render_stable_when_disabled():
     registry.observe("solve", 1.0)
     registry.observe_value("latency", 5.0)
     assert "(empty)" in registry.render()
-
-
-def test_global_registry_lifecycle():
-    disable_global_metrics()
-    assert global_metrics() is None
-    registry = enable_global_metrics()
-    try:
-        assert global_metrics() is registry
-        # idempotent: enabling again returns the same instance
-        assert enable_global_metrics() is registry
-    finally:
-        disable_global_metrics()
-    assert global_metrics() is None
 
 
 # --------------------------------------------------------------------- #

@@ -9,26 +9,12 @@ import pytest
 from repro.errors import ValidationError
 from repro.utils.profiler import (
     IDLE_FRAME,
+    PROFILER,
     DeterministicProfiler,
     current_profiler,
-    disable_global_profiling,
-    enable_global_profiling,
-    global_profiler,
 )
-from repro.utils.tracing import (
-    Tracer,
-    disable_global_tracing,
-    global_tracer,
-)
-
-
-@pytest.fixture(autouse=True)
-def _no_globals():
-    disable_global_profiling()
-    disable_global_tracing()
-    yield
-    disable_global_profiling()
-    disable_global_tracing()
+from repro.runtime import RunContext
+from repro.utils.tracing import TRACER, Tracer
 
 
 def test_tick_captures_open_span_stack():
@@ -114,27 +100,13 @@ def test_write_formats(tmp_path):
         profiler.write(str(collapsed), format="pprof")
 
 
-def test_global_profiler_lifecycle():
-    assert global_profiler() is None
-    assert current_profiler().enabled is False
-    profiler = enable_global_profiling(sample_every=2)
-    assert current_profiler() is profiler
-    # enabling the profiler mutates only its own global; the runtime
-    # layer (RunContext) brings up the tracer alongside it
-    assert global_tracer() is None
-    assert enable_global_profiling() is profiler  # idempotent
-    disable_global_profiling()
-    assert current_profiler().enabled is False
-
-
 def test_run_context_couples_profiler_and_tracer():
-    from repro.runtime import RunContext
-
-    with RunContext(profile=True).activate() as ctx:
+    with RunContext(profile=True, profile_every=2).activate() as ctx:
         assert current_profiler() is ctx.profiler
-        assert global_tracer() is not None, "profiling needs the span stack"
-    assert global_tracer() is None
-    assert global_profiler() is None
+        assert ctx.profiler.sample_every == 2
+        assert TRACER.recorder is not None, "profiling needs the span stack"
+    assert TRACER.recorder is None
+    assert PROFILER.recorder is None
 
 
 def _profiled_run() -> str:
@@ -144,11 +116,8 @@ def _profiled_run() -> str:
     from repro.workload import WorkloadSpec, generate_instance
     from repro.workload.trace import generate_trace
 
-    from repro.utils.tracing import enable_global_tracing
-
-    enable_global_tracing()  # the profiler samples the tracer's stack
-    profiler = enable_global_profiling()
-    try:
+    # a profiling context also installs the tracer whose stack it samples
+    with RunContext(profile=True).activate() as ctx:
         instance = generate_instance(
             WorkloadSpec(num_sites=8, num_objects=12), rng=21
         )
@@ -160,10 +129,7 @@ def _profiled_run() -> str:
         simulator = Simulator()
         system.attach(simulator, trace)
         simulator.run()
-        return profiler.collapsed()
-    finally:
-        disable_global_profiling()
-        disable_global_tracing()
+        return ctx.profiler.collapsed()
 
 
 def test_identical_seeded_runs_produce_identical_profiles():

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from repro.errors import ValidationError
+from repro.runtime.context import RunContext
 from repro.utils.metrics import MetricsRegistry
 from repro.utils.telemetry import (
     InMemoryExporter,
@@ -15,9 +16,6 @@ from repro.utils.telemetry import (
     OpenMetricsExporter,
     TelemetrySink,
     current_sink,
-    disable_global_telemetry,
-    enable_global_telemetry,
-    global_telemetry,
     parse_openmetrics,
     render_families,
     render_openmetrics_snapshot,
@@ -25,13 +23,6 @@ from repro.utils.telemetry import (
     snapshot_families,
     validate_openmetrics,
 )
-
-
-@pytest.fixture(autouse=True)
-def _no_global_sink():
-    disable_global_telemetry()
-    yield
-    disable_global_telemetry()
 
 
 def test_sanitize_metric_name():
@@ -69,17 +60,6 @@ def test_disabled_sink_is_inert():
     assert sink.snapshot()["gauges"] == {}
     assert current_sink() is not None
     assert current_sink().enabled is False  # no global installed
-
-
-def test_global_sink_lifecycle():
-    assert global_telemetry() is None
-    sink = enable_global_telemetry()
-    assert current_sink() is sink
-    assert enable_global_telemetry() is sink  # idempotent
-    registry = MetricsRegistry()
-    assert enable_global_telemetry(registry).registry is registry
-    disable_global_telemetry()
-    assert global_telemetry() is None
 
 
 def test_exporters_receive_snapshots(tmp_path):
@@ -240,12 +220,13 @@ def test_adaptive_loop_snapshots_per_epoch(tmp_path):
     result = SRA().run(instance)
     drifted, _ = apply_pattern_change(instance, 6.0, 0.5, 1.0, rng=9)
     epochs = [instance, drifted]
-    sink = enable_global_telemetry()
-    exporter = sink.attach_exporter(InMemoryExporter())
-    loop = AdaptiveReplicationLoop(instance, result.scheme, rng=3)
-    loop.run(epochs)
-    assert len(exporter.snapshots) == len(epochs)
-    last = exporter.snapshots[-1]
+    exporter = InMemoryExporter()
+    with RunContext(telemetry=True, exporters=[exporter]).activate():
+        loop = AdaptiveReplicationLoop(instance, result.scheme, rng=3)
+        loop.run(epochs)
+        snapshots = list(exporter.snapshots)  # teardown adds a final one
+    assert len(snapshots) == len(epochs)
+    last = snapshots[-1]
     assert last["tick"] == len(epochs) - 1
     assert "repro_adaptive_epoch_ntc" in last["gauges"]
     assert "repro_sim_total_ntc" in last["gauges"]
@@ -259,9 +240,9 @@ def test_distributed_sra_publishes_message_counts():
     instance = generate_instance(
         WorkloadSpec(num_sites=5, num_objects=6), rng=2
     )
-    sink = enable_global_telemetry()
-    report = DistributedSRA().run(instance)
-    gauges = sink.snapshot()["gauges"]
+    with RunContext(telemetry=True).activate() as ctx:
+        report = DistributedSRA().run(instance)
+        gauges = ctx.sink.snapshot()["gauges"]
     assert gauges["repro_dsra_token_rounds"][0]["value"] == float(
         report.token_rounds
     )

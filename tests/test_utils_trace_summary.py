@@ -17,35 +17,24 @@ from repro.utils.trace_summary import (
     self_time_by_name,
     summarize,
 )
-from repro.utils.tracing import (
-    Tracer,
-    disable_global_tracing,
-    enable_global_tracing,
-)
+from repro.runtime import RunContext
+from repro.utils.tracing import Tracer
 from repro.workload.generator import generate_instance
 from repro.workload.spec import WorkloadSpec
 
 
-@pytest.fixture(autouse=True)
-def _no_global_tracer():
-    disable_global_tracing()
-    yield
-    disable_global_tracing()
-
-
 def _gra_trace(tmp_path, generations=5):
     """Run a small GRA solve under tracing; returns (path, result)."""
-    tracer = enable_global_tracing()
-    instance = generate_instance(
-        WorkloadSpec(num_sites=8, num_objects=12), rng=11
-    )
-    model = CostModel(instance)
-    result = GRA(
-        GAParams(population_size=10, generations=generations), rng=3
-    ).run(instance, model)
+    with RunContext(trace=True).activate() as ctx:
+        instance = generate_instance(
+            WorkloadSpec(num_sites=8, num_objects=12), rng=11
+        )
+        model = CostModel(instance)
+        result = GRA(
+            GAParams(population_size=10, generations=generations), rng=3
+        ).run(instance, model)
     path = str(tmp_path / "gra.jsonl")
-    tracer.write(path)
-    disable_global_tracing()
+    ctx.tracer.write(path)
     return path, result
 
 
@@ -152,21 +141,20 @@ def test_agra_engine_emits_decision_events():
     from repro.algorithms.agra.params import AGRAParams
     from repro.core.scheme import ReplicationScheme
 
-    tracer = enable_global_tracing()
-    instance = generate_instance(
-        WorkloadSpec(num_sites=6, num_objects=10), rng=5
-    )
-    current = ReplicationScheme.primary_only(instance)
-    agra = AGRA(
-        params=AGRAParams(population_size=6, generations=10), rng=2
-    )
-    agra.adapt(instance, current, changed_objects=[1, 4])
-    summary = build_tree(tracer.records())
+    with RunContext(trace=True).activate() as ctx:
+        instance = generate_instance(
+            WorkloadSpec(num_sites=6, num_objects=10), rng=5
+        )
+        current = ReplicationScheme.primary_only(instance)
+        agra = AGRA(
+            params=AGRAParams(population_size=6, generations=10), rng=2
+        )
+        agra.adapt(instance, current, changed_objects=[1, 4])
+    summary = build_tree(ctx.tracer.records())
     decisions = agra_decisions(summary)
     allocations = [d for d in decisions if d["name"] == "agra.allocate"]
     assert {d["attrs"]["obj"] for d in allocations} == {1, 4}
     assert any(node.name == "agra.adapt" for node in summary.roots)
-    disable_global_tracing()
 
 
 # --------------------------------------------------------------------- #

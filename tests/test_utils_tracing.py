@@ -12,22 +12,13 @@ from repro.utils.tracing import (
     FORMAT_CHROME,
     FORMAT_JSONL,
     SPAN,
+    TRACER,
     Tracer,
     current_tracer,
-    disable_global_tracing,
-    enable_global_tracing,
-    global_tracer,
     read_trace,
 )
+from repro.utils.recorders import install_recorder, uninstall_recorder
 from repro.utils.trace_summary import build_tree
-
-
-@pytest.fixture(autouse=True)
-def _no_global_tracer():
-    """Keep the process-wide tracer off before and after every test."""
-    disable_global_tracing()
-    yield
-    disable_global_tracing()
 
 
 # --------------------------------------------------------------------- #
@@ -234,7 +225,7 @@ def test_merge_snapshot_accumulates_dropped():
 
 
 # --------------------------------------------------------------------- #
-# disabled tracer / global lifecycle
+# disabled tracer
 # --------------------------------------------------------------------- #
 def test_disabled_tracer_records_nothing():
     tracer = Tracer(enabled=False)
@@ -246,19 +237,21 @@ def test_disabled_tracer_records_nothing():
 
 
 def test_current_tracer_is_disabled_singleton_when_off():
-    assert global_tracer() is None
+    assert TRACER.recorder is None
     tracer = current_tracer()
     assert tracer.enabled is False
     assert current_tracer() is tracer
 
 
 def test_global_tracer_lifecycle():
-    tracer = enable_global_tracing()
-    assert global_tracer() is tracer
-    assert current_tracer() is tracer
-    assert enable_global_tracing() is tracer  # idempotent
-    disable_global_tracing()
-    assert global_tracer() is None
+    tracer = install_recorder(TRACER, Tracer)
+    try:
+        assert TRACER.recorder is tracer
+        assert current_tracer() is tracer
+        assert install_recorder(TRACER, Tracer) is tracer  # idempotent
+    finally:
+        uninstall_recorder(TRACER)
+    assert TRACER.recorder is None
 
 
 def test_reset_clears_everything():
