@@ -17,6 +17,7 @@ The result's scheme is the fittest member of the final population.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +36,6 @@ from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
 from repro.obs.ledger import current_ledger
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.timers import Stopwatch
 from repro.utils.tracing import current_tracer
 
 
@@ -153,9 +153,9 @@ class AGRA:
         model = CostModel(instance, update_fraction=self._update_fraction)
         tracer = current_tracer()
         ledger = current_ledger()
-        watch = Stopwatch()
+        start = time.perf_counter()
         micro_evaluations = 0
-        with watch, tracer.span(
+        with tracer.span(
             "agra.adapt",
             changed_objects=len(changed),
             mini_gra_generations=mini_gra_generations,
@@ -223,6 +223,7 @@ class AGRA:
                 )
                 mini.evolve(population, mini_gra_generations)
             best = population.best_scheme()
+        elapsed = time.perf_counter() - start
         name = self.name
         if mini_gra_generations > 0:
             name = f"AGRA+{mini_gra_generations}GRA"
@@ -230,7 +231,7 @@ class AGRA:
             scheme=best,
             total_cost=model.total_cost(best),
             d_prime=model.d_prime(),
-            runtime_seconds=watch.elapsed,
+            runtime_seconds=elapsed,
             algorithm=name,
             stats={
                 "changed_objects": changed,

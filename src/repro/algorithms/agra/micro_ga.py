@@ -25,6 +25,7 @@ from repro.algorithms.agra.params import AGRAParams, PAPER_AGRA_PARAMS
 from repro.algorithms.gra.operators import single_point_crossover
 from repro.algorithms.gra.selection import stochastic_remainder_selection
 from repro.core.cost import CostModel
+from repro.core.fitness import fitness_from_costs
 from repro.core.incremental import ObjectColumnState
 from repro.core.problem import DRPInstance
 from repro.errors import ValidationError
@@ -114,10 +115,7 @@ def run_micro_ga(
         """
         nonlocal evaluations
         evaluations += 1
-        v = state.evaluate(column)
-        if v_prime == 0.0:
-            return 0.0, column, state
-        f = (v_prime - v) / v_prime
+        f = fitness_from_costs(v_prime, state.evaluate(column))
         if f < 0.0:
             return 0.0, _primary_only_column(instance, obj), None
         return f, column, state

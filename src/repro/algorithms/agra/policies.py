@@ -16,6 +16,7 @@ Legend labels from the paper, verbatim:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -33,7 +34,6 @@ from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.timers import Stopwatch
 
 POLICY_NAMES = (
     "Current",
@@ -128,10 +128,11 @@ def run_adaptation(
     label = label or kind
 
     if kind == "current":
-        watch = Stopwatch()
-        with watch:
-            savings = model.savings_percent(current_scheme)
-        return AdaptationOutcome(label, savings, watch.elapsed)
+        start = time.perf_counter()
+        savings = model.savings_percent(current_scheme)
+        return AdaptationOutcome(
+            label, savings, time.perf_counter() - start
+        )
 
     if kind == "agra":
         agra = AGRA(
@@ -152,28 +153,28 @@ def run_adaptation(
         )
 
     if kind == "current+gra":
-        watch = Stopwatch()
-        with watch:
-            gra = GRA(
-                params=gra_params,
-                rng=gen,
-                update_fraction=update_fraction,
-            )
-            population = _current_population(
-                instance, model, current_scheme, seed_matrices, gra_params,
-                gen,
-            )
-            gra.evolve(population, generations)
-            best = population.best_scheme()
+        start = time.perf_counter()
+        gra = GRA(
+            params=gra_params,
+            rng=gen,
+            update_fraction=update_fraction,
+        )
+        population = _current_population(
+            instance, model, current_scheme, seed_matrices, gra_params,
+            gen,
+        )
+        gra.evolve(population, generations)
+        best = population.best_scheme()
+        elapsed = time.perf_counter() - start
         return AdaptationOutcome(
             label,
             model.savings_percent(best),
-            watch.elapsed,
+            elapsed,
             AlgorithmResult(
                 scheme=best,
                 total_cost=model.total_cost(best),
                 d_prime=model.d_prime(),
-                runtime_seconds=watch.elapsed,
+                runtime_seconds=elapsed,
                 algorithm=label,
             ),
         )

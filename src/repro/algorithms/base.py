@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import abc
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.core.cost import CostModel, cost_model_for
+from repro.core.fitness import fitness_from_costs, savings_percent
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.utils.rng import SeedLike
-from repro.utils.timers import Stopwatch
 
 
 @dataclass
@@ -48,21 +49,14 @@ class AlgorithmResult:
 
     @property
     def savings_percent(self) -> float:
-        """The paper's quality metric: % NTC saved vs primary-only.
-
-        ``-inf`` on degenerate instances where ``D_prime == 0`` but the
-        scheme's cost is positive (negative savings must not read as 0).
-        """
-        if self.d_prime == 0.0:
-            return 0.0 if self.total_cost == 0.0 else float("-inf")
-        return 100.0 * (self.d_prime - self.total_cost) / self.d_prime
+        """The paper's quality metric: % NTC saved vs primary-only
+        (see :func:`repro.core.fitness.savings_percent`)."""
+        return savings_percent(self.d_prime, self.total_cost)
 
     @property
     def fitness(self) -> float:
         """Normalised fitness ``f = (D_prime - D) / D_prime``."""
-        if self.d_prime == 0.0:
-            return 0.0 if self.total_cost == 0.0 else float("-inf")
-        return (self.d_prime - self.total_cost) / self.d_prime
+        return fitness_from_costs(self.d_prime, self.total_cost)
 
     @property
     def extra_replicas(self) -> int:
@@ -126,23 +120,23 @@ class ReplicationAlgorithm(abc.ABC):
             ):
                 model = None
         model = model or self.make_cost_model(instance)
-        watch = Stopwatch()
-        with watch:
-            scheme, stats = self._solve(instance, model)
+        start = time.perf_counter()
+        scheme, stats = self._solve(instance, model)
+        elapsed = time.perf_counter() - start
         scheme.validate()
         extras: Dict[str, object] = {
-            "solve_seconds": watch.elapsed,
+            "solve_seconds": elapsed,
             "cache_info": model.cache_info(),
         }
         metrics = model.metrics
         if metrics is not None:
-            metrics.observe(f"solve.{self.name}", watch.elapsed)
+            metrics.observe(f"solve.{self.name}", elapsed)
             extras["metrics"] = metrics.snapshot()
         return AlgorithmResult(
             scheme=scheme,
             total_cost=model.total_cost(scheme),
             d_prime=model.d_prime(),
-            runtime_seconds=watch.elapsed,
+            runtime_seconds=elapsed,
             algorithm=self.name,
             stats=stats,
             extras=extras,

@@ -22,6 +22,7 @@ Section 4's "Generation of the initial Population".
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -290,25 +291,24 @@ class GRA(ReplicationAlgorithm):
         final :class:`Population` back alongside the usual result.
         """
         from repro.algorithms.base import AlgorithmResult
-        from repro.utils.timers import Stopwatch
 
         model = model or self.make_cost_model(instance)
-        watch = Stopwatch()
-        with watch:
-            population = self.build_initial_population(instance, model)
-            stats = self.evolve(population, self.params.generations)
-            scheme = population.best_scheme()
+        start = time.perf_counter()
+        population = self.build_initial_population(instance, model)
+        stats = self.evolve(population, self.params.generations)
+        scheme = population.best_scheme()
+        elapsed = time.perf_counter() - start
         if model.metrics is not None:
-            model.metrics.observe(f"solve.{self.name}", watch.elapsed)
+            model.metrics.observe(f"solve.{self.name}", elapsed)
         result = AlgorithmResult(
             scheme=scheme,
             total_cost=model.total_cost(scheme),
             d_prime=model.d_prime(),
-            runtime_seconds=watch.elapsed,
+            runtime_seconds=elapsed,
             algorithm=self.name,
             stats=stats,
             extras={
-                "solve_seconds": watch.elapsed,
+                "solve_seconds": elapsed,
                 "cache_info": model.cache_info(),
             },
         )

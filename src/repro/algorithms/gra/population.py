@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.cost import CostModel
+from repro.core.fitness import fitness_from_costs
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
@@ -192,7 +193,7 @@ class Population:
     def _finish(self, chromosome: Chromosome, cost: float) -> None:
         """Apply fitness (with the paper's negative reset) from a cost."""
         d_prime = self.model.d_prime()
-        fitness = 0.0 if d_prime == 0.0 else (d_prime - cost) / d_prime
+        fitness = fitness_from_costs(d_prime, cost)
         if fitness < 0.0:
             chromosome.matrix = primary_only_matrix(self.instance)
             chromosome.cost = d_prime

@@ -18,6 +18,7 @@ two prunes:
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
@@ -28,7 +29,6 @@ from repro.core.cost import CostModel
 from repro.core.problem import DRPInstance
 from repro.core.scheme import CAPACITY_TOLERANCE, ReplicationScheme
 from repro.errors import ValidationError
-from repro.utils.timers import Stopwatch
 
 #: refuse instances whose exhaustive per-object enumeration would explode
 MAX_SITES = 10
@@ -136,33 +136,33 @@ def solve_optimal(
             "force=True to override"
         )
     model = model or CostModel(instance)
-    watch = Stopwatch()
-    with watch:
-        options = [
-            _object_options(instance, model, k)
-            for k in range(instance.num_objects)
-        ]
-        # Search large objects first: they constrain capacity the most, so
-        # infeasible branches die early.
-        order = sorted(
-            range(instance.num_objects),
-            key=lambda k: -float(instance.sizes[k]),
-        )
-        search = _Search(instance, model, options, order)
-        search.run()
-        assert search.best_choice is not None, "primary-only is always feasible"
-        matrix = np.zeros(
-            (instance.num_sites, instance.num_objects), dtype=bool
-        )
-        for depth, obj in enumerate(order):
-            _, sites = options[obj][search.best_choice[depth]]
-            matrix[sites, obj] = True
-        scheme = ReplicationScheme.from_matrix(instance, matrix)
+    start = time.perf_counter()
+    options = [
+        _object_options(instance, model, k)
+        for k in range(instance.num_objects)
+    ]
+    # Search large objects first: they constrain capacity the most, so
+    # infeasible branches die early.
+    order = sorted(
+        range(instance.num_objects),
+        key=lambda k: -float(instance.sizes[k]),
+    )
+    search = _Search(instance, model, options, order)
+    search.run()
+    assert search.best_choice is not None, "primary-only is always feasible"
+    matrix = np.zeros(
+        (instance.num_sites, instance.num_objects), dtype=bool
+    )
+    for depth, obj in enumerate(order):
+        _, sites = options[obj][search.best_choice[depth]]
+        matrix[sites, obj] = True
+    scheme = ReplicationScheme.from_matrix(instance, matrix)
+    elapsed = time.perf_counter() - start
     return AlgorithmResult(
         scheme=scheme,
         total_cost=model.total_cost(scheme),
         d_prime=model.d_prime(),
-        runtime_seconds=watch.elapsed,
+        runtime_seconds=elapsed,
         algorithm="Optimal(B&B)",
         stats={"nodes_explored": search.nodes},
     )

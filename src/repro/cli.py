@@ -67,6 +67,7 @@ from repro.runtime import (
     default_registry,
     runtime_session,
 )
+from repro.utils.files import atomic_write
 from repro.utils.telemetry import current_sink
 from repro.version import __version__
 from repro.workload import WorkloadSpec, generate_instance, generate_instances
@@ -579,7 +580,7 @@ def _cmd_conform_run(args: argparse.Namespace) -> int:
                 "repro_conform_failing", len(corpus.failing)
             )
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fp:
+        with atomic_write(args.json) as fp:
             json_module.dump(corpus.to_dict(), fp, indent=2)
             fp.write("\n")
         print(f"report written to {args.json}")

@@ -30,6 +30,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.fitness import fitness_from_costs, savings_percent
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
@@ -39,6 +40,36 @@ from repro.utils.tracing import current_tracer
 from repro.utils.validation import check_fraction
 
 SchemeLike = Union[ReplicationScheme, np.ndarray]
+
+
+def eq4_object_term(
+    columns: Tuple[np.ndarray, np.ndarray, np.ndarray, float],
+    mask: np.ndarray,
+    nearest: np.ndarray,
+) -> float:
+    """Eq. 4 cost of one object's replica column — the single definition.
+
+    ``columns`` is the ``(read_w, write_w, to_primary, total_w)`` tuple of
+    :meth:`CostModel._columns`, ``mask`` the boolean replica column and
+    ``nearest`` the unit-stride vector of each site's distance to its
+    nearest replicator (zero at replicators).  Every pricing path — the
+    scalar and batch kernels, the incremental evaluator, the one-shot
+    deltas and the micro-GA column chains — computes ``nearest`` its own
+    way and prices it here, so their costs are bit-identical on any cost
+    matrix, integer-valued or not.
+    """
+    read_w, write_w, to_primary, total_w = columns
+    # The weight column is copied contiguous before the dot: BLAS picks
+    # its ddot kernel (and with it the accumulation order) by operand
+    # stride, and the dense and tile-backed models store the column at
+    # different strides.
+    read_term = float(np.ascontiguousarray(read_w) @ nearest)
+    # Non-replicators ship their own writes to the primary; replicators
+    # are charged for all writes (own + received updates).
+    nonrep = ~mask
+    nonrep_writes = float(write_w[nonrep] @ to_primary[nonrep])
+    rep_writes = float(to_primary[mask].sum() * total_w)
+    return read_term + nonrep_writes + rep_writes
 
 
 class CostModel:
@@ -150,30 +181,16 @@ class CostModel:
     has_dense_weights = True
 
     # ------------------------------------------------------------------ #
-    # per-object weight columns (the kernels consume these, never the
-    # full matrices, so tile-backed subclasses can swap the storage)
+    # per-object operands (the kernels consume these, never the full
+    # matrices, so tile-backed subclasses can swap the storage)
     # ------------------------------------------------------------------ #
-    def read_weight_col(self, obj: int) -> np.ndarray:
-        """Read weight column ``r_.k * o_k``, shape ``(M,)``."""
-        return self._read_weight[:, obj]
-
-    def write_weight_col(self, obj: int) -> np.ndarray:
-        """Scaled write weight column ``w_.k * o_k * uf``, shape ``(M,)``."""
-        return self._write_weight[:, obj]
-
-    def cost_to_primary_col(self, obj: int) -> np.ndarray:
-        """``C(., SP_k)`` column, shape ``(M,)``."""
-        return self._cost_to_primary[:, obj]
-
-    def total_write_weight_of(self, obj: int) -> float:
-        """Scalar ``o_k * uf * sum_x w_xk`` of one object."""
-        return self._total_write_weight[obj]
-
     def _columns(self, obj: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """``(read_w, write_w, to_primary, total_w)`` of one object.
 
-        The four operands every per-object kernel needs, fetched with one
-        storage lookup; each equals its single-column accessor.
+        The four operands of :func:`eq4_object_term`, fetched with one
+        storage lookup: the read weight column ``r_.k * o_k``, the scaled
+        write weight column ``w_.k * o_k * uf``, the column
+        ``C(., SP_k)`` and the scalar ``o_k * uf * sum_x w_xk``.
         """
         return (
             self._read_weight[:, obj],
@@ -200,25 +217,11 @@ class CostModel:
 
     def _object_cost(self, obj: int, column: np.ndarray) -> float:
         mask = np.asarray(column, dtype=bool)
-        reps = np.nonzero(mask)[0]
-        read_w, write_w, to_primary, total_w = self._columns(obj)
-        # Reads: every site reads from its nearest replicator; replicator
-        # rows contribute zero because min cost over reps includes self.
-        # Rows of the transposed cost are the columns C(., j), gathered
-        # contiguously; a min is exact in any order.
-        # The weight column is copied contiguous before the dot: BLAS
-        # picks its ddot kernel (and with it the accumulation order) by
-        # operand stride, and the dense and tile-backed models store the
-        # column at different strides — the copy pins every evaluation
-        # path to the unit-stride kernel so costs stay bit-identical on
-        # non-integer cost matrices.
-        nearest_cost = self._cost_t[reps].min(axis=0)
-        read_term = float(np.ascontiguousarray(read_w) @ nearest_cost)
-        # Writes: non-replicators ship their own writes to the primary;
-        # replicators are charged for all writes (own + received updates).
-        nonrep_writes = float(write_w[~mask] @ to_primary[~mask])
-        rep_writes = float(to_primary[mask].sum() * total_w)
-        return read_term + nonrep_writes + rep_writes
+        # Every site reads from its nearest replicator.  Rows of the
+        # transposed cost are the columns C(., j), gathered contiguously;
+        # a min is exact in any order.
+        nearest = self._cost_t[np.nonzero(mask)[0]].min(axis=0)
+        return eq4_object_term(self._columns(obj), mask, nearest)
 
     def object_cost_cached(
         self, obj: int, column: np.ndarray, key: Optional[bytes] = None
@@ -235,8 +238,29 @@ class CostModel:
         ``np.packbits(column).tobytes()`` — digests and ad-hoc lookups
         share one key space.
         """
+        if key is None:
+            key = np.packbits(np.asarray(column, dtype=bool)).tobytes()
+        value = self.cache_lookup(obj, column, key)
+        if value is None:
+            value = self.object_cost(obj, column)
+            self.cache_store(obj, column, value, key)
+        return value
+
+    def cache_lookup(
+        self, obj: int, column: np.ndarray, key: Optional[bytes] = None
+    ) -> Optional[float]:
+        """Probe the memo table for a column's cost (hit/miss counted).
+
+        Returns ``None`` on a miss (or when caching is disabled).  Every
+        cached pricing path — :meth:`object_cost_cached`, the batch
+        kernel and :class:`~repro.core.incremental.ObjectColumnState` —
+        probes through here and stores through :meth:`cache_store`, so
+        the key space and the :meth:`cache_info` accounting are shared.
+        ``key`` is the optional packed-bit digest, as for
+        :meth:`object_cost_cached`.
+        """
         if self._cache_size == 0:
-            return self.object_cost(obj, column)
+            return None
         if key is None:
             key = np.packbits(np.asarray(column, dtype=bool)).tobytes()
         key = (obj, key)
@@ -246,35 +270,21 @@ class CostModel:
             self._record_hit()
             return hit
         self._record_miss()
-        value = self.object_cost(obj, column)
-        self._cache_insert(key, value)
-        return value
-
-    def cache_lookup(self, obj: int, column: np.ndarray) -> Optional[float]:
-        """Probe the memo table for a column's cost (hit/miss counted).
-
-        Returns ``None`` on a miss (or when caching is disabled).  The
-        incremental chains use this with :meth:`cache_store` so their
-        cache traffic — and therefore :meth:`cache_info` — is identical
-        to pricing through :meth:`object_cost_cached`.
-        """
-        if self._cache_size == 0:
-            return None
-        key = (obj, np.packbits(np.asarray(column, dtype=bool)).tobytes())
-        hit = self._cache.get(key)
-        if hit is not None:
-            self._cache.move_to_end(key)
-            self._record_hit()
-            return hit
-        self._record_miss()
         return None
 
-    def cache_store(self, obj: int, column: np.ndarray, value: float) -> None:
-        """Insert an externally priced column cost into the memo table."""
+    def cache_store(
+        self,
+        obj: int,
+        column: np.ndarray,
+        value: float,
+        key: Optional[bytes] = None,
+    ) -> None:
+        """Insert a priced column cost into the memo table."""
         if self._cache_size == 0:
             return
-        key = (obj, np.packbits(np.asarray(column, dtype=bool)).tobytes())
-        self._cache_insert(key, float(value))
+        if key is None:
+            key = np.packbits(np.asarray(column, dtype=bool)).tobytes()
+        self._cache_insert((obj, key), float(value))
 
     def _record_hit(self) -> None:
         self._hits += 1
@@ -308,20 +318,15 @@ class CostModel:
                     )
         self._cache[key] = value
 
-    def object_costs_batch(
-        self, obj: int, columns: np.ndarray, chunk: int = 64
-    ) -> np.ndarray:
+    def object_costs_batch(self, obj: int, columns: np.ndarray) -> np.ndarray:
         """Costs of many replica columns of one object at once.
 
         ``columns`` is a boolean ``(P, M)`` stack.  Duplicate columns are
-        collapsed with :func:`numpy.unique`, cached costs are reused, and
-        the remaining fresh columns are priced ``chunk`` rows at a time:
-        each row's nearest-replicator distances come from a gather over
-        its replicator set only, so the peak temporary is the
-        ``chunk x M`` nearest table (an earlier revision broadcast a
-        ``chunk x M x M`` masked copy of the cost matrix — half a
-        gigabyte at M=1024).  Equivalent to calling
-        :meth:`object_cost_cached` per row; used by GA population
+        collapsed with :func:`numpy.unique` and cached costs are reused;
+        each remaining fresh column gathers its nearest-replicator
+        distances over its replicator set only and is priced by
+        :func:`eq4_object_term`, so every row equals
+        :meth:`object_cost_cached` bit for bit.  Used by GA population
         evaluation where whole generations share columns.
         """
         columns = np.asarray(columns, dtype=bool)
@@ -338,22 +343,18 @@ class CostModel:
             with tracer.span(
                 "cost.batch", obj=obj, rows=int(columns.shape[0])
             ):
-                result = self._timed_batch(obj, columns, chunk)
+                result = self._timed_batch(obj, columns)
                 current_profiler().tick()
                 return result
-        return self._timed_batch(obj, columns, chunk)
+        return self._timed_batch(obj, columns)
 
-    def _timed_batch(
-        self, obj: int, columns: np.ndarray, chunk: int
-    ) -> np.ndarray:
+    def _timed_batch(self, obj: int, columns: np.ndarray) -> np.ndarray:
         if self._metrics is not None:
             with self._metrics.timer("cost.batch"):
-                return self._object_costs_batch(obj, columns, chunk)
-        return self._object_costs_batch(obj, columns, chunk)
+                return self._object_costs_batch(obj, columns)
+        return self._object_costs_batch(obj, columns)
 
-    def _object_costs_batch(
-        self, obj: int, columns: np.ndarray, chunk: int
-    ) -> np.ndarray:
+    def _object_costs_batch(self, obj: int, columns: np.ndarray) -> np.ndarray:
         unique, inverse = np.unique(columns, axis=0, return_inverse=True)
         # NumPy 2.1 returns the inverse with an extra axis under ``axis=``
         # (reverted again in 2.2); flatten so indexing below always yields
@@ -361,56 +362,35 @@ class CostModel:
         inverse = np.asarray(inverse).reshape(-1)
         unique_costs = np.empty(unique.shape[0])
         misses: list = []
-        keys: list = []
+        # Probe every row before storing any, so a store cannot evict an
+        # entry a later row of the same batch would have hit.
         for idx in range(unique.shape[0]):
-            key = (obj, np.packbits(unique[idx]).tobytes())
-            hit = self._cache.get(key) if self._cache_size else None
+            key = np.packbits(unique[idx]).tobytes()
+            hit = self.cache_lookup(obj, unique[idx], key)
             if hit is None:
-                misses.append(idx)
-                keys.append(key)
-                if self._cache_size:
-                    self._record_miss()
+                misses.append((idx, key))
             else:
-                self._cache.move_to_end(key)
-                self._record_hit()
                 unique_costs[idx] = hit
         cost_t = self._cost_t
-        m = self._instance.num_sites
-        read_w, write_w, to_primary, total_w = self._columns(obj)
-        for start in range(0, len(misses), chunk):
-            block = misses[start:start + chunk]
-            mask = unique[block]  # (b, M)
-            # Per-row gather over the replicator set: min over the same
-            # value set as the masked broadcast it replaces, so results
-            # are bit-identical while peak memory drops from b*M*M to
-            # b*M (rows without replicators stay at inf, as before).
-            nearest = np.full((len(block), m), np.inf)
-            for offset in range(len(block)):
-                reps = np.nonzero(mask[offset])[0]
-                if reps.size:
-                    nearest[offset] = cost_t[reps].min(axis=0)
-            read_term = nearest @ read_w
-            nonrep = (~mask) @ (write_w * to_primary)
-            rep = (mask @ to_primary) * total_w
-            values = read_term + nonrep + rep
-            for offset, idx in enumerate(block):
-                unique_costs[idx] = values[offset]
-                if self._cache_size:
-                    self._cache_insert(
-                        keys[start + offset], float(values[offset])
-                    )
+        operands = self._columns(obj)
+        for idx, key in misses:
+            mask = unique[idx]
+            nearest = cost_t[np.nonzero(mask)[0]].min(axis=0)
+            value = eq4_object_term(operands, mask, nearest)
+            unique_costs[idx] = value
+            self.cache_store(obj, mask, value, key)
         return unique_costs[inverse]
 
     def object_cost_kernel(self, obj: int, column: np.ndarray) -> float:
         """Price one column through the batched kernel (cache-aware).
 
-        Bit-identical to :meth:`object_costs_batch` on a single-row stack
-        but without opening a trace span; the GA delta chains use it so
+        Equal to :meth:`object_costs_batch` on a single-row stack but
+        without opening a trace span; the GA delta chains use it so
         chained and batch-evaluated offspring share one kernel (and one
-        cache) and totals stay bit-identical either way.
+        cache).
         """
         column = np.asarray(column, dtype=bool)
-        return float(self._timed_batch(obj, column[None, :], 1)[0])
+        return float(self._timed_batch(obj, column[None, :])[0])
 
     def population_costs(self, matrices) -> np.ndarray:
         """Total ``D`` of every scheme matrix in ``matrices`` (batched)."""
@@ -482,30 +462,14 @@ class CostModel:
         return float(self._d_prime_per_object.sum())
 
     def savings_percent(self, scheme: SchemeLike) -> float:
-        """The paper's quality metric: % of ``D_prime`` saved by ``scheme``.
-
-        On degenerate instances where ``D_prime == 0`` the percentage is
-        undefined; a scheme that still incurs positive cost reports
-        ``-inf`` (strictly worse than primary-only) rather than masking
-        the regression as ``0.0``.
-        """
-        d_prime = self.d_prime()
-        cost = self.total_cost(scheme)
-        if d_prime == 0.0:
-            return 0.0 if cost == 0.0 else float("-inf")
-        return 100.0 * (d_prime - cost) / d_prime
+        """The paper's quality metric: % of ``D_prime`` saved by ``scheme``
+        (see :func:`repro.core.fitness.savings_percent`)."""
+        return savings_percent(self.d_prime(), self.total_cost(scheme))
 
     def fitness(self, scheme: SchemeLike) -> float:
-        """Normalised GA fitness ``f = (D_prime - D) / D_prime`` (can be < 0).
-
-        ``-inf`` when ``D_prime == 0`` but the scheme's cost is positive
-        (see :meth:`savings_percent`).
-        """
-        d_prime = self.d_prime()
-        cost = self.total_cost(scheme)
-        if d_prime == 0.0:
-            return 0.0 if cost == 0.0 else float("-inf")
-        return (d_prime - cost) / d_prime
+        """Normalised GA fitness ``f = (D_prime - D) / D_prime``
+        (see :func:`repro.core.fitness.fitness_from_costs`)."""
+        return fitness_from_costs(self.d_prime(), self.total_cost(scheme))
 
     # ------------------------------------------------------------------ #
     # incremental deltas
@@ -610,7 +574,8 @@ class SparseCostModel(CostModel):
     producing a width-1 tile (a trailing remainder of one column is
     merged into the previous tile).  The per-object LRU memo, the batch
     kernel and the incremental delta machinery are all inherited
-    unchanged: they only consume the per-object column accessors.
+    unchanged: they only consume the per-object operands of
+    :meth:`_columns`.
     """
 
     has_dense_weights = False
@@ -712,24 +677,8 @@ class SparseCostModel(CostModel):
         return self._instance.num_objects
 
     # ------------------------------------------------------------------ #
-    # column accessors (everything above them is inherited)
+    # per-object operands (everything above them is inherited)
     # ------------------------------------------------------------------ #
-    def read_weight_col(self, obj: int) -> np.ndarray:
-        start, (rw, _, _, _) = self._tile(obj)
-        return rw[:, obj - start]
-
-    def write_weight_col(self, obj: int) -> np.ndarray:
-        start, (_, ww, _, _) = self._tile(obj)
-        return ww[:, obj - start]
-
-    def cost_to_primary_col(self, obj: int) -> np.ndarray:
-        start, (_, _, ctp, _) = self._tile(obj)
-        return ctp[:, obj - start]
-
-    def total_write_weight_of(self, obj: int) -> float:
-        start, (_, _, _, tw) = self._tile(obj)
-        return tw[obj - start]
-
     def _columns(self, obj: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         start, (rw, ww, ctp, tw) = self._tile(obj)
         col = obj - start
@@ -740,7 +689,7 @@ class SparseCostModel(CostModel):
     def _no_dense(self, name: str):
         raise ValidationError(
             f"SparseCostModel does not materialise the dense {name} "
-            f"matrix; use the per-object column accessors"
+            f"matrix; it prices per object from column tiles"
         )
 
     @property
@@ -825,6 +774,7 @@ def reference_total_cost(
 
 __all__ = [
     "CostModel",
+    "eq4_object_term",
     "SparseCostModel",
     "cost_model_for",
     "reference_total_cost",

@@ -15,15 +15,15 @@ maintains, per object:
   second-nearest (the two-nearest invariant), so dropping a replica
   repairs the nearest table in ``O(M)`` without a full rescan — only
   rows that pointed at the dropped site fall back to their second
-  choice, and only those rows rescan for a new runner-up;
-* the object's write-sum (sum of replicator-to-primary costs).
+  choice, and only those rows rescan for a new runner-up.
 
-Deltas are **exact**, not estimates: every value is computed with the
-same arithmetic expressions (same operand order, same reductions) as
-``CostModel._object_cost``, so evaluator costs are bit-identical to the
-full recompute and algorithms produce identical schemes whichever path
-they price moves through.  The property suite pins this equality against
-:func:`~repro.core.cost.reference_total_cost`.
+Deltas are **exact**, not estimates: every column is priced by
+:func:`~repro.core.cost.eq4_object_term`, the one Eq. 4 term the full
+recompute also uses, so evaluator costs are bit-identical to it on any
+cost matrix and algorithms produce identical schemes whichever path
+they price moves through.  The property suite pins this equality
+against :meth:`CostModel.object_cost` on float-valued instances and
+against :func:`~repro.core.cost.reference_total_cost`.
 
 Consistency with the wrapped scheme is listener-based: the evaluator
 subscribes to the scheme's change notifications, so every
@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cost import CostModel
+from repro.core.cost import CostModel, eq4_object_term
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
 from repro.utils.tracing import current_tracer
@@ -45,10 +45,6 @@ from repro.utils.tracing import current_tracer
 #: change kinds the scheme's listener reports
 ADD = "add"
 DROP = "drop"
-
-#: ``ndarray.sum()`` dispatches here after two wrapper frames; binding
-#: the ufunc directly keeps the identical C reduction without them
-_add_reduce = np.add.reduce
 
 
 def eq5_benefit(read_count, nearest_cost, other_writes, cost_to_primary,
@@ -129,30 +125,11 @@ class IncrementalCostEvaluator:
         self._cost = self._instance.cost
         # Contiguous site-major rows: self._cost_T[site] is the distance
         # vector used by add pricing (elementwise only, so the layout
-        # change cannot alter any reduction).
-        self._cost_T = np.ascontiguousarray(self._cost.T)
+        # cannot alter any reduction).
+        self._cost_T = model.transposed_cost
         # Live view of the scheme's X matrix; mutated in place by the
         # scheme, so one lookup serves every delta.
         self._x = scheme.matrix
-        # Shared references, not copies: _column_cost must index these
-        # exactly like CostModel._object_cost does (same views, same
-        # strides) so the dot products take the same accumulation path
-        # and results stay bit-identical to the full recompute.
-        self._dense_weights = getattr(model, "has_dense_weights", True)
-        if self._dense_weights:
-            self._read_weight = model.read_weight
-            self._total_w = model.total_write_weight
-            # Object-major contiguous rows for the boolean gathers below.
-            # Gather outputs are freshly contiguous whatever the source
-            # layout, so the dot/sum operands (and hence the bits) are
-            # unchanged — only the gather itself gets cheaper.
-            self._ww_T = np.ascontiguousarray(model.write_weight.T)
-            self._ctp_T = np.ascontiguousarray(model.cost_to_primary.T)
-        # Sparse-backed models keep their weights tiled and are read per
-        # object through the column accessors (tile columns keep the
-        # dense columns' stride class, and gather outputs are freshly
-        # contiguous either way, so the reductions below are
-        # bit-identical to the dense branch).
         self._metrics = model.metrics
         m, n = self._instance.num_sites, self._instance.num_objects
         self._d1 = np.empty((n, m))
@@ -198,40 +175,8 @@ class IncrementalCostEvaluator:
     def _column_cost(
         self, obj: int, mask: np.ndarray, d1: np.ndarray
     ) -> float:
-        """Eq. 4 term from a nearest-distance row.
-
-        Mirrors ``CostModel._object_cost`` expression by expression —
-        same operand views, same strides, same reduction order — so the
-        result is bit-identical to the full recompute whenever ``d1``
-        equals the nearest-replica distances.
-        """
-        # read_term copies the weight column contiguous before the dot,
-        # matching CostModel._object_cost: vector layout steers BLAS
-        # onto a different accumulation path, and this is the one term
-        # where that matters.
-        if self._dense_weights:
-            read_term = float(
-                np.ascontiguousarray(self._read_weight[:, obj]) @ d1
-            )
-            to_primary = self._ctp_T[obj]
-            write_col = self._ww_T[obj]
-            total_w = self._total_w[obj]
-        else:
-            model = self._model
-            read_term = float(
-                np.ascontiguousarray(model.read_weight_col(obj)) @ d1
-            )
-            to_primary = model.cost_to_primary_col(obj)
-            write_col = model.write_weight_col(obj)
-            total_w = model.total_write_weight_of(obj)
-        nonrep = ~mask
-        nonrep_writes = float(
-            write_col[nonrep] @ to_primary[nonrep]
-        )
-        rep_writes = float(
-            _add_reduce(to_primary[mask]) * total_w
-        )
-        return read_term + nonrep_writes + rep_writes
+        """Eq. 4 term of ``obj`` under ``mask`` from a nearest-distance row."""
+        return eq4_object_term(self._model._columns(obj), mask, d1)
 
     # ------------------------------------------------------------------ #
     # pricing
@@ -383,18 +328,18 @@ def single_add_delta(
 ) -> float:
     """Exact add delta computed from scratch in one O(M*R) pass.
 
-    Same arithmetic as :meth:`IncrementalCostEvaluator.delta_add`, so the
-    value is bit-identical whether priced here or through a live
-    evaluator.
+    Both columns are priced by :func:`~repro.core.cost.eq4_object_term`,
+    so the value is bit-identical to
+    :meth:`IncrementalCostEvaluator.delta_add`.
     """
     reps = scheme.replicators(obj)
     cost = model.instance.cost
+    operands = model._columns(obj)
     d1 = cost[:, reps].min(axis=1)
     mask = scheme.matrix[:, obj].copy()
-    before = _adapter_cost(model, obj, mask, d1)
-    c = np.ascontiguousarray(cost[:, site])
+    before = eq4_object_term(operands, mask, d1)
     mask[site] = True
-    after = _adapter_cost(model, obj, mask, np.minimum(d1, c))
+    after = eq4_object_term(operands, mask, np.minimum(d1, cost[:, site]))
     return after - before
 
 
@@ -404,38 +349,13 @@ def single_drop_delta(
     """Exact drop delta computed from scratch in one O(M*R) pass."""
     reps = scheme.replicators(obj)
     cost = model.instance.cost
-    d1 = cost[:, reps].min(axis=1)
+    operands = model._columns(obj)
     mask = scheme.matrix[:, obj].copy()
-    before = _adapter_cost(model, obj, mask, d1)
+    before = eq4_object_term(operands, mask, cost[:, reps].min(axis=1))
     mask[site] = False
     remaining = reps[reps != site]
-    after = _adapter_cost(
-        model, obj, mask, cost[:, remaining].min(axis=1)
-    )
+    after = eq4_object_term(operands, mask, cost[:, remaining].min(axis=1))
     return after - before
-
-
-def _adapter_cost(
-    model: CostModel, obj: int, mask: np.ndarray, d1: np.ndarray
-) -> float:
-    """``CostModel._object_cost`` with the nearest distances precomputed.
-
-    Goes through the per-object column accessors, so it prices dense
-    and sparse-backed (tiled) models alike: for dense models the
-    accessors return the very same column views the original expression
-    indexed, and tile columns share their stride class, so the value is
-    bit-identical either way.
-    """
-    read_term = float(model.read_weight_col(obj) @ d1)
-    to_primary = model.cost_to_primary_col(obj)
-    nonrep = ~mask
-    nonrep_writes = float(
-        model.write_weight_col(obj)[nonrep] @ to_primary[nonrep]
-    )
-    rep_writes = float(
-        to_primary[mask].sum() * model.total_write_weight_of(obj)
-    )
-    return read_term + nonrep_writes + rep_writes
 
 
 class ObjectColumnState:
@@ -447,12 +367,13 @@ class ObjectColumnState:
     child's exact ``V_k`` is obtained by applying the flip diff —
     O(flips * M) — instead of a from-scratch nearest scan.
 
-    Pricing goes through the model's memo table
-    (:meth:`CostModel.cache_lookup` / :meth:`CostModel.cache_store`), so
-    the returned values *and* the cache hit/miss accounting are
-    identical to pricing every column with
-    :meth:`CostModel.object_cost_cached`; the chain only replaces the
-    nearest scan that a cache miss would otherwise pay.
+    Pricing probes the model's memo table
+    (:meth:`CostModel.cache_lookup` / :meth:`CostModel.cache_store`) and
+    prices a miss with :func:`~repro.core.cost.eq4_object_term`, so the
+    returned values *and* the cache hit/miss accounting are identical
+    to pricing every column with :meth:`CostModel.object_cost_cached`;
+    the chain only replaces the nearest scan that a cache miss would
+    otherwise pay.
 
     ``value`` is the last evaluated column's exact ``V_k`` (``None``
     until the first :meth:`evaluate`).
@@ -511,18 +432,17 @@ class ObjectColumnState:
                 self._d2[affected] = d2
                 self._n2[affected] = n2
         # Probe the memo table first — exactly like object_cost_cached
-        # does — and fall back to the chained formula only on a miss, so
-        # values and cache counters match the uncached path bit for bit.
+        # does — and price from the chained nearest row only on a miss.
         model = self._model
-        cached = model.cache_lookup(self._obj, self._column)
-        if cached is not None:
-            self.value = cached
-        else:
-            self.value = _adapter_cost(
-                model, self._obj, self._column, self._d1
+        key = np.packbits(self._column).tobytes()
+        value = model.cache_lookup(self._obj, self._column, key)
+        if value is None:
+            value = eq4_object_term(
+                model._columns(self._obj), self._column, self._d1
             )
-            model.cache_store(self._obj, self._column, self.value)
-        return self.value
+            model.cache_store(self._obj, self._column, value, key)
+        self.value = value
+        return value
 
     def _apply_add(self, site: int) -> None:
         self._column[site] = True

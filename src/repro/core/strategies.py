@@ -30,6 +30,7 @@ from typing import Dict, Union
 
 import numpy as np
 
+from repro.core.cost import CostModel
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
@@ -64,8 +65,16 @@ def object_cost(
     strategy: WriteStrategy = WriteStrategy.PRIMARY_BROADCAST,
     update_fraction: float = 1.0,
 ) -> float:
-    """NTC of one object under the given write strategy."""
+    """NTC of one object under the given write strategy.
+
+    ``PRIMARY_BROADCAST`` is Eq. 4 itself and is priced by
+    :class:`~repro.core.cost.CostModel`.
+    """
     strategy = WriteStrategy(strategy)
+    if strategy is WriteStrategy.PRIMARY_BROADCAST:
+        return CostModel(
+            instance, update_fraction=update_fraction, cache_size=0
+        ).object_cost(obj, column)
     mask = np.asarray(column, dtype=bool)
     reps = np.nonzero(mask)[0]
     cost = instance.cost
@@ -75,13 +84,6 @@ def object_cost(
     primary = int(instance.primaries[obj])
     nearest_cost = cost[:, reps].min(axis=1)
     uf = update_fraction
-
-    if strategy is WriteStrategy.PRIMARY_BROADCAST:
-        read_term = float(reads @ nearest_cost) * size
-        to_primary = cost[:, primary]
-        nonrep = float(writes[~mask] @ to_primary[~mask])
-        rep = float(to_primary[mask].sum() * writes.sum())
-        return read_term + uf * size * (nonrep + rep)
 
     if strategy is WriteStrategy.WRITER_MULTICAST:
         read_term = float(reads @ nearest_cost) * size
@@ -126,6 +128,11 @@ def total_cost(
     update_fraction: float = 1.0,
 ) -> float:
     """Total NTC under the given write strategy."""
+    strategy = WriteStrategy(strategy)
+    if strategy is WriteStrategy.PRIMARY_BROADCAST:
+        return CostModel(
+            instance, update_fraction=update_fraction, cache_size=0
+        ).total_cost(scheme, cached=False)
     mat = _as_matrix(instance, scheme)
     return float(
         sum(

@@ -19,6 +19,7 @@ from repro.experiments.claims import render_verdicts, verify_claims
 from repro.experiments.config import ScaleProfile, get_profile
 from repro.experiments.figures import DEFAULT_SEED, FIGURES, run_figure
 from repro.io import save_figure_result
+from repro.utils.files import atomic_write
 
 PathLike = Union[str, Path]
 
@@ -56,36 +57,30 @@ def export_results(
         json_path = out / f"{fig_id}.json"
         save_figure_result(result, json_path)
         txt_path = out / f"{fig_id}.txt"
-        txt_path.write_text(result.render() + "\n", encoding="utf-8")
+        _write(txt_path, result.render() + "\n")
         written.extend([json_path.name, txt_path.name])
 
     for ablation_id in ablation_ids:
         result = run_ablation(ablation_id, profile)
         txt_path = out / f"ablation-{ablation_id}.txt"
-        txt_path.write_text(result.render() + "\n", encoding="utf-8")
+        _write(txt_path, result.render() + "\n")
         json_path = out / f"ablation-{ablation_id}.json"
-        with json_path.open("w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "ablation_id": result.ablation_id,
-                    "title": result.title,
-                    "headers": result.headers,
-                    "rows": result.rows,
-                    "meta": result.meta,
-                },
-                handle,
-                indent=2,
-            )
-            handle.write("\n")
+        _write_json(
+            json_path,
+            {
+                "ablation_id": result.ablation_id,
+                "title": result.title,
+                "headers": result.headers,
+                "rows": result.rows,
+                "meta": result.meta,
+            },
+        )
         written.extend([txt_path.name, json_path.name])
 
     claims_summary: Optional[List[Dict[str, str]]] = None
     if include_claims:
         results = verify_claims(profile, seed=seed)
-        claims_path = out / "claims.txt"
-        claims_path.write_text(
-            render_verdicts(results) + "\n", encoding="utf-8"
-        )
+        _write(out / "claims.txt", render_verdicts(results) + "\n")
         claims_summary = [
             {
                 "claim": r.claim_id,
@@ -94,9 +89,7 @@ def export_results(
             }
             for r in results
         ]
-        with (out / "claims.json").open("w", encoding="utf-8") as handle:
-            json.dump(claims_summary, handle, indent=2)
-            handle.write("\n")
+        _write_json(out / "claims.json", claims_summary)
         written.extend(["claims.txt", "claims.json"])
 
     manifest = {
@@ -107,10 +100,17 @@ def export_results(
         "claims_included": include_claims,
         "files": written,
     }
-    with (out / "manifest.json").open("w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
+    _write_json(out / "manifest.json", manifest)
     return manifest
+
+
+def _write(path: Path, text: str) -> None:
+    with atomic_write(path) as handle:
+        handle.write(text)
+
+
+def _write_json(path: Path, payload: object) -> None:
+    _write(path, json.dumps(payload, indent=2) + "\n")
 
 
 __all__ = ["export_results"]

@@ -26,6 +26,7 @@ import numpy as np
 from repro.algorithms.agra.params import AGRAParams, PAPER_AGRA_PARAMS
 from repro.algorithms.gra.params import GAParams, PAPER_PARAMS
 from repro.core.cost import CostModel
+from repro.core.fitness import savings_percent
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
@@ -166,7 +167,7 @@ class AdaptiveReplicationLoop:
 
             model = CostModel(epoch_instance)
             current_cost = model.total_cost(self.system.scheme)
-            savings = self._savings_percent(model, current_cost)
+            savings = savings_percent(model.d_prime(), current_cost)
 
             # Monitor: compare observed patterns with the assumed ones.
             changed = detect_changed_objects(
@@ -252,13 +253,6 @@ class AdaptiveReplicationLoop:
         )
 
     # ------------------------------------------------------------------ #
-    def _savings_percent(self, model: CostModel, cost: float) -> float:
-        """``CostModel.savings_percent`` from an already-known total."""
-        d_prime = model.d_prime()
-        if d_prime == 0.0:
-            return 0.0 if cost == 0.0 else float("-inf")
-        return 100.0 * (d_prime - cost) / d_prime
-
     def _realize(
         self, target: ReplicationScheme, epoch: int
     ) -> "tuple[int, int]":

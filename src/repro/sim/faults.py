@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.errors import FaultPlanError, SimulationError
 from repro.obs.ledger import current_ledger
-from repro.utils.files import atomic_write
+from repro.utils.files import atomic_write, read_text
 from repro.utils.tracing import current_tracer
 
 #: transition kinds, in the order they apply at equal timestamps —
@@ -366,19 +366,11 @@ class FaultPlan:
 
 def load_fault_plan(path: str) -> FaultPlan:
     """Read a :class:`FaultPlan` from a JSON file."""
+    text = read_text(path, "fault plan", FaultPlanError)
     try:
-        with open(path, "r", encoding="utf-8") as fp:
-            data = json.load(fp)
-    except FileNotFoundError:
-        raise FaultPlanError(f"no such fault plan: {path}") from None
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FaultPlanError(f"{path} is not valid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise FaultPlanError(f"{path} is not UTF-8 text: {exc}") from None
-    except OSError as exc:
-        raise FaultPlanError(
-            f"cannot read fault plan {path}: {exc.strerror or exc}"
-        ) from None
     return FaultPlan.from_dict(data)
 
 

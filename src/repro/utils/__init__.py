@@ -1,5 +1,5 @@
 """Shared utilities: RNG fan-out, metrics, tracing, telemetry, profiling,
-tables, timers."""
+tables."""
 
 from repro.utils.metrics import (
     Histogram,
@@ -28,7 +28,6 @@ from repro.utils.tracing import (
 )
 from repro.utils.rng import as_generator, spawn_generators, spawn_seeds
 from repro.utils.tables import format_series, format_table
-from repro.utils.timers import Stopwatch
 from repro.utils.validation import (
     check_fraction,
     check_index,
@@ -60,7 +59,6 @@ __all__ = [
     "spawn_seeds",
     "format_series",
     "format_table",
-    "Stopwatch",
     "check_fraction",
     "check_index",
     "check_matrix",

@@ -6,7 +6,7 @@ import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterator, Type, Union
 
 from repro.errors import ValidationError
 
@@ -37,20 +37,28 @@ def atomic_write(path: PathLike) -> Iterator[IO[str]]:
         raise
 
 
-def read_text(path: PathLike) -> str:
+def read_text(
+    path: PathLike,
+    noun: str = "file",
+    error: Type[ValidationError] = ValidationError,
+) -> str:
     """The UTF-8 text of ``path``; a missing, binary or unreadable file
-    (a directory, say) is a :class:`ValidationError` saying which."""
+    (a directory, say) raises ``error`` saying which.
+
+    ``noun`` names what ``path`` holds in the messages: ``no such fault
+    plan: p`` and ``cannot read fault plan p: ...`` instead of ``no such
+    file: p`` and ``cannot read p: ...``.
+    """
+    named = path if noun == "file" else f"{noun} {path}"
     try:
         with Path(path).open("r", encoding="utf-8") as fp:
             return fp.read()
     except FileNotFoundError:
-        raise ValidationError(f"no such file: {path}") from None
+        raise error(f"no such {noun}: {path}") from None
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
     except OSError as exc:
-        raise ValidationError(
-            f"cannot read {path}: {exc.strerror or exc}"
-        ) from None
+        raise error(f"cannot read {named}: {exc.strerror or exc}") from None
 
 
 __all__ = ["atomic_write", "read_text"]

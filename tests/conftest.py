@@ -139,3 +139,26 @@ def make_manual_instance() -> DRPInstance:
 @pytest.fixture()
 def manual_instance() -> DRPInstance:
     return make_manual_instance()
+
+
+def traffic_at_primaries(instance: DRPInstance, objects) -> DRPInstance:
+    """``instance`` with every read and write of ``objects`` issued at the
+    object's own primary, so their primary-only cost ``V'_k`` is zero."""
+    reads = instance.reads.copy()
+    writes = instance.writes.copy()
+    for k in objects:
+        primary = int(instance.primaries[k])
+        total_reads = max(float(reads[:, k].sum()), 1.0)
+        total_writes = max(float(writes[:, k].sum()), 1.0)
+        reads[:, k] = 0.0
+        writes[:, k] = 0.0
+        reads[primary, k] = total_reads
+        writes[primary, k] = total_writes
+    return DRPInstance(
+        instance.cost,
+        instance.sizes,
+        instance.capacities,
+        reads,
+        writes,
+        instance.primaries,
+    )

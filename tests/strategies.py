@@ -3,6 +3,12 @@
 Instances are drawn by dimension + seed and realised through the Section
 6.1 generator, which keeps examples shrinkable (hypothesis shrinks the
 dimensions and seed) while exercising realistic structure.
+
+The Section 6.1 generator draws integer link costs, on which most float
+reductions are exact whatever their order.  :func:`float_instances`
+instead takes shortest paths over a Waxman graph (as the conformance
+corpus's ``waxman`` topology does), so costs are non-integer and any two
+pricing paths that accumulate in different orders disagree.
 """
 
 from __future__ import annotations
@@ -11,7 +17,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.core import DRPInstance, ReplicationScheme
+from repro.network import waxman_topology
+from repro.utils.rng import as_generator
 from repro.workload import WorkloadSpec, generate_instance
+
+#: the write-shipping policies the float-instance strategy draws from
+UPDATE_FRACTIONS = (1.0, 0.3, 0.1)
 
 
 @st.composite
@@ -37,10 +48,7 @@ def drp_instances(
     return generate_instance(spec, rng=seed)
 
 
-@st.composite
-def instances_with_schemes(draw, **kwargs):
-    """An instance plus a random valid replication scheme on it."""
-    instance = draw(drp_instances(**kwargs))
+def _random_scheme(draw, instance: DRPInstance) -> ReplicationScheme:
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     scheme = ReplicationScheme.primary_only(instance)
@@ -52,7 +60,43 @@ def instances_with_schemes(draw, **kwargs):
             continue
         if scheme.remaining_capacity()[site] >= instance.sizes[obj]:
             scheme.add_replica(site, obj)
-    return instance, scheme
+    return scheme
 
 
-__all__ = ["drp_instances", "instances_with_schemes"]
+@st.composite
+def instances_with_schemes(draw, **kwargs):
+    """An instance plus a random valid replication scheme on it."""
+    instance = draw(drp_instances(**kwargs))
+    return instance, _random_scheme(draw, instance)
+
+
+@st.composite
+def float_instances(draw, max_sites: int = 10, max_objects: int = 6):
+    """``(instance, scheme, update_fraction)`` with non-integer costs.
+
+    The cost matrix is the shortest-path closure of a Waxman graph whose
+    link costs are scaled Euclidean distances; reads, writes, sizes and
+    capacities come from the Section 6.1 generator as usual.
+    """
+    num_sites = draw(st.integers(3, max_sites))
+    spec = WorkloadSpec(
+        num_sites=num_sites,
+        num_objects=draw(st.integers(1, max_objects)),
+        update_ratio=draw(st.integers(0, 80)) / 100.0,
+        capacity_ratio=draw(st.integers(10, 60)) / 100.0,
+    )
+    rng = as_generator(draw(st.integers(0, 2**16)))
+    cost = waxman_topology(
+        num_sites, alpha=0.9, beta=0.9, rng=rng
+    ).cost_matrix()
+    instance = generate_instance(spec, rng=rng, cost=cost)
+    scheme = _random_scheme(draw, instance)
+    return instance, scheme, draw(st.sampled_from(UPDATE_FRACTIONS))
+
+
+__all__ = [
+    "UPDATE_FRACTIONS",
+    "drp_instances",
+    "float_instances",
+    "instances_with_schemes",
+]

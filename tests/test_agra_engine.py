@@ -10,6 +10,7 @@ from repro.core import CostModel, ReplicationScheme
 from repro.errors import ValidationError
 from repro.workload import WorkloadSpec, generate_instance, apply_pattern_change
 from repro.workload.mutation import detect_changed_objects
+from tests.conftest import traffic_at_primaries
 
 FAST_AGRA = AGRAParams(population_size=8, generations=10)
 FAST_GRA = GAParams(population_size=10, generations=8)
@@ -107,3 +108,25 @@ def test_deterministic(scenario):
         drifted, static_result.scheme, changed, seed_matrices=seeds
     )
     assert np.array_equal(a.scheme.matrix, b.scheme.matrix)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_zero_v_prime_object_keeps_zero_cost(seed):
+    """An object read and written only at its primary has ``V'_k = 0``;
+    the micro-GA must reset every costlier column to primary-only, so
+    AGRA leaves the object at zero cost."""
+    instance = traffic_at_primaries(
+        generate_instance(
+            WorkloadSpec(num_sites=8, num_objects=10, update_ratio=0.1,
+                         capacity_ratio=0.3),
+            rng=5,
+        ),
+        [3],
+    )
+    model = CostModel(instance)
+    assert model.primary_only_object_cost(3) == 0.0
+    current = GRA(FAST_GRA, rng=1).run(instance).scheme
+    result = AGRA(FAST_AGRA, gra_params=FAST_GRA, rng=seed).adapt(
+        instance, current, [3]
+    )
+    assert model.object_cost(3, result.scheme.matrix[:, 3]) == 0.0

@@ -54,17 +54,6 @@ def test_batch_uses_and_fills_cache(small_instance, rng):
     assert model.cache_info()["entries"] == filled
 
 
-def test_batch_small_chunks(small_instance, rng):
-    model = CostModel(small_instance, cache_size=0)
-    mats = random_matrices(small_instance, rng)
-    obj = 0
-    columns = np.stack([m[:, obj] for m in mats])
-    assert np.allclose(
-        model.object_costs_batch(obj, columns, chunk=1),
-        model.object_costs_batch(obj, columns, chunk=100),
-    )
-
-
 def test_batch_empty_population(small_instance):
     model = CostModel(small_instance)
     assert model.population_costs([]).shape == (0,)

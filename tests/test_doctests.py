@@ -8,12 +8,11 @@ import pytest
 
 import repro
 import repro.utils.tables
-import repro.utils.timers
 
 
 @pytest.mark.parametrize(
     "module",
-    [repro, repro.utils.tables, repro.utils.timers],
+    [repro, repro.utils.tables],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):

@@ -8,6 +8,7 @@ import pytest
 from repro.algorithms import GAParams, GRA, SRA
 from repro.core import CostModel
 from repro.workload import WorkloadSpec, generate_instance
+from tests.conftest import traffic_at_primaries
 
 FAST = GAParams(population_size=10, generations=8)
 
@@ -124,3 +125,24 @@ def test_write_heavy_instance_stays_primary_only(manual_instance):
     # replication can only hurt: the GA must settle on (near) zero extras
     assert result.savings_percent == pytest.approx(0.0, abs=1e-9)
     assert result.extra_replicas == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_zero_d_prime_resets_to_primary_only(seed):
+    """With all traffic at the primaries ``D' = 0``: any extra replica
+    costs update traffic, scores ``-inf`` and is reset, so GRA returns a
+    zero-cost scheme."""
+    instance = traffic_at_primaries(
+        generate_instance(
+            WorkloadSpec(num_sites=8, num_objects=10, update_ratio=0.1,
+                         capacity_ratio=0.3),
+            rng=5,
+        ),
+        range(10),
+    )
+    assert CostModel(instance).d_prime() == 0.0
+    result = GRA(GAParams(population_size=10, generations=5), rng=seed).run(
+        instance
+    )
+    assert result.total_cost == 0.0
+    assert result.savings_percent == 0.0

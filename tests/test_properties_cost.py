@@ -10,7 +10,11 @@ from repro.core import CostModel, ReplicationScheme
 from repro.core.cost import reference_total_cost
 from repro.sim import ReplicaSystem
 from repro.workload import generate_trace
-from tests.strategies import drp_instances, instances_with_schemes
+from tests.strategies import (
+    drp_instances,
+    float_instances,
+    instances_with_schemes,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -123,36 +127,57 @@ def test_eq1_eq2_decomposition(pair):
     assert total == pytest.approx(model.total_cost(scheme))
 
 
-@SETTINGS
+@settings(max_examples=80, deadline=None)
 @given(
-    instances_with_schemes(),
-    st.sampled_from([1.0, 0.4]),
+    st.one_of(
+        st.tuples(instances_with_schemes(), st.sampled_from([1.0, 0.4])).map(
+            lambda drawn: (*drawn[0], drawn[1])
+        ),
+        float_instances(),
+    ),
     st.booleans(),
+    st.integers(0, 2**16),
 )
-def test_batch_equals_scalar_equals_reference(pair, update_fraction, cached):
+def test_batch_equals_scalar_equals_reference(drawn, cached, seed):
     """Three derivations of every per-object price must agree: the
-    chunked batch kernel, the scalar kernel (cached and uncached), and
-    the naive Eq. 4 oracle summed over objects — with and without the
-    memo cache and under partial-update accounting."""
-    instance, scheme = pair
+    batch kernel and the scalar kernel (cached and uncached) exactly,
+    and the naive Eq. 4 oracle summed over objects to float tolerance —
+    with and without the memo cache, under partial-update accounting,
+    and on integer as well as non-integer (Waxman shortest-path) costs,
+    where only one shared arithmetic gives ``==``."""
+    instance, scheme, update_fraction = drawn
+    rng = np.random.default_rng(seed)
     model = CostModel(
         instance,
         update_fraction=update_fraction,
         cache_size=64 if cached else 0,
     )
+    uncached = CostModel(
+        instance, update_fraction=update_fraction, cache_size=0
+    )
     mat = scheme.matrix
     primary_only = ReplicationScheme.primary_only(instance).matrix
     total = 0.0
     for k in range(instance.num_objects):
-        columns = np.stack([mat[:, k], primary_only[:, k], mat[:, k]])
-        batch = model.object_costs_batch(k, columns, chunk=2)
-        assert batch.shape == (3,)
-        assert batch[0] == pytest.approx(batch[2])  # duplicates collapse
-        per_row = [model.object_cost(k, c) for c in columns]
-        assert np.allclose(batch, per_row)
-        cached_row = [model.object_cost_cached(k, c) for c in columns]
-        assert np.allclose(batch, cached_row)
-        total += float(batch[0])
+        random_columns = rng.random((6, instance.num_sites)) < 0.4
+        random_columns[:, int(instance.primaries[k])] = True
+        columns = np.vstack(
+            [mat[:, k], primary_only[:, k], random_columns, mat[:, k]]
+        )
+        scalar = [uncached.object_cost(k, c) for c in columns]
+        batch = model.object_costs_batch(k, columns)
+        assert batch.shape == (len(columns),)
+        assert batch[0] == batch[-1]  # duplicates collapse
+        assert batch.tolist() == scalar
+        # A second batch reads what the first stored in the cache.
+        assert model.object_costs_batch(k, columns).tolist() == scalar
+        assert [model.object_cost(k, c) for c in columns] == scalar
+        assert [model.object_cost_cached(k, c) for c in columns] == scalar
+        assert [model.object_cost_kernel(k, c) for c in columns] == scalar
+        total += scalar[0]
+    fresh = uncached.total_cost(scheme, cached=False)
+    assert model.total_cost(scheme) == fresh
+    assert model.population_costs([mat]).tolist() == [fresh]
     assert total == pytest.approx(
         reference_total_cost(
             instance, scheme, update_fraction=update_fraction

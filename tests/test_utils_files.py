@@ -6,7 +6,9 @@ from contextlib import contextmanager
 
 import pytest
 
+import repro.cli as cli
 import repro.conformance.shrink as shrink
+import repro.experiments.export as export
 import repro.io.persistence as persistence
 import repro.obs.ledger as ledger_mod
 import repro.sim.faults as faults
@@ -62,6 +64,18 @@ def _fault_plan(path):
     plan.save(str(path))
 
 
+def _conform_report(path):
+    assert cli.main(
+        ["conform", "run", "--invariant", "scheme-feasibility", "--json", str(path)]
+    ) == 0
+
+
+def _export_manifest(path):
+    export.export_results(
+        path.parent, figures=[], ablations=[], include_claims=False
+    )
+
+
 #: writer name -> (module whose atomic_write it uses, write a file at path)
 WRITERS = {
     "instance": (
@@ -74,7 +88,12 @@ WRITERS = {
     "openmetrics": (telemetry, _openmetrics),
     "shrink-artifact": (shrink, _artifact),
     "fault-plan": (faults, _fault_plan),
+    "conform-report": (cli, _conform_report),
+    "export-manifest": (export, _export_manifest),
 }
+
+#: writers whose output file name is fixed; the rest write "export.out"
+FILE_NAMES = {"export-manifest": "manifest.json"}
 
 
 class _HalfWrite:
@@ -100,7 +119,7 @@ def _failing_atomic_write(path):
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_failed_write_keeps_previous_file(writer, tmp_path, monkeypatch):
     module, write = WRITERS[writer]
-    path = tmp_path / "export.out"
+    path = tmp_path / FILE_NAMES.get(writer, "export.out")
     write(path)
     before = path.read_bytes()
     assert before, "the first write must produce content"
@@ -110,4 +129,4 @@ def test_failed_write_keeps_previous_file(writer, tmp_path, monkeypatch):
     with pytest.raises(OSError, match="No space left"):
         write(path)
     assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["export.out"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
