@@ -4,8 +4,6 @@
   primary-broadcast, writer-multicast and invalidation writes across
   update ratios (Section 2.2's "various strategies" claim made
   runnable);
-* GA convergence — how many generations the quick-profile GRA needs to
-  bank 95% of its final gain, and what the SRA seeding contributes;
 * local-search comparators — hill climbing and simulated annealing vs
   SRA/GRA on the fig3a workload;
 * distributed SRA — protocol message volume as the network grows.
@@ -16,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms import GRA, HillClimbing, SRA, SimulatedAnnealing
-from repro.analysis import analyze_convergence
 from repro.core import CostModel
 from repro.core.strategies import WriteStrategy, total_cost
 from repro.distributed import DistributedSRA
@@ -81,28 +78,6 @@ def test_bench_consistency_strategies(benchmark, profile):
         "invalidation should gain on broadcast as updates grow: "
         f"{first_ratio:.4f} -> {last_ratio:.4f}"
     )
-
-
-def test_bench_gra_convergence(benchmark, profile):
-    instance = generate_instance(
-        WorkloadSpec(
-            num_sites=profile.fig3a_num_sites,
-            num_objects=profile.fig3a_num_objects,
-            update_ratio=0.05,
-            capacity_ratio=0.15,
-        ),
-        rng=SEED + 1,
-    )
-
-    def run():
-        result = GRA(profile.gra, rng=3).run(instance)
-        return analyze_convergence(result.stats.history("best_fitness"))
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print(f"GRA convergence: {report.summary()}")
-    assert report.final_fitness >= report.initial_fitness
-    assert 0.0 <= report.seeding_share <= 1.0
 
 
 def test_bench_local_search_comparators(benchmark, profile):

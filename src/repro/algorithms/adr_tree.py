@@ -38,7 +38,7 @@ non-increasing, so ADR can never end up worse than no replication.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 import numpy as np
 

@@ -18,11 +18,11 @@ The result's scheme is the fittest member of the final population.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.algorithms.agra.micro_ga import MicroGAResult, run_micro_ga
+from repro.algorithms.agra.micro_ga import run_micro_ga
 from repro.algorithms.agra.params import AGRAParams, PAPER_AGRA_PARAMS
 from repro.algorithms.agra.transcription import transcribe_population
 from repro.algorithms.base import AlgorithmResult

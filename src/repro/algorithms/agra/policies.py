@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -239,37 +239,10 @@ def run_policy(
     )
 
 
-def run_all_policies(
-    instance: DRPInstance,
-    current_scheme: ReplicationScheme,
-    changed_objects: Sequence[int] = (),
-    seed_matrices: Sequence[np.ndarray] = (),
-    gra_params: GAParams = PAPER_PARAMS,
-    agra_params: AGRAParams = PAPER_AGRA_PARAMS,
-    rng: SeedLike = None,
-) -> Dict[str, AdaptationOutcome]:
-    """Every Fig. 4 policy on the same drifted instance (shared RNG stream)."""
-    gen = as_generator(rng)
-    return {
-        policy: run_policy(
-            policy,
-            instance,
-            current_scheme,
-            changed_objects=changed_objects,
-            seed_matrices=seed_matrices,
-            gra_params=gra_params,
-            agra_params=agra_params,
-            rng=gen,
-        )
-        for policy in POLICY_NAMES
-    }
-
-
 __all__ = [
     "POLICY_KINDS",
     "run_adaptation",
     "POLICY_NAMES",
     "AdaptationOutcome",
     "run_policy",
-    "run_all_policies",
 ]

@@ -16,11 +16,11 @@ object's replica degree is re-derived after each drop).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.algorithms.gra.population import Chromosome, Population
+from repro.algorithms.gra.population import Population
 from repro.core.benefit import deallocation_estimates_for_site
 from repro.core.problem import DRPInstance
 from repro.core.scheme import CAPACITY_TOLERANCE, ReplicationScheme

@@ -11,7 +11,6 @@ from repro.core.cost import CostModel, cost_model_for
 from repro.core.fitness import fitness_from_costs, savings_percent
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
-from repro.utils.rng import SeedLike
 
 
 @dataclass

@@ -68,25 +68,4 @@ def stochastic_remainder_selection(
     return out
 
 
-def roulette_selection(
-    fitness: np.ndarray,
-    count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Holland's plain roulette wheel (kept for the selection ablation)."""
-    fitness = np.asarray(fitness, dtype=float)
-    if fitness.ndim != 1 or fitness.size == 0:
-        raise ValidationError("fitness must be a non-empty 1-D array")
-    if np.any(fitness < 0):
-        raise ValidationError("fitness must be non-negative")
-    if count < 0:
-        raise ValidationError(f"count must be >= 0, got {count}")
-    total = float(fitness.sum())
-    if total <= 0.0:
-        return rng.integers(fitness.size, size=count).astype(np.int64)
-    return rng.choice(
-        fitness.size, size=count, p=fitness / total
-    ).astype(np.int64)
-
-
-__all__ = ["stochastic_remainder_selection", "roulette_selection"]
+__all__ = ["stochastic_remainder_selection"]

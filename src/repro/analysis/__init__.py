@@ -1,18 +1,13 @@
-"""Analysis utilities: GA convergence, statistics, algorithm comparison.
+"""Analysis utilities: statistics, algorithm comparison, GA sensitivity.
 
 Extensions beyond the paper that a practitioner adopting these
 algorithms needs: confidence intervals on instance-averaged savings
-(the paper reports bare means over 15 networks), paired comparisons
-between algorithms on the same networks, and convergence diagnostics
-for tuning the GA budget.
+(the paper reports bare means over 15 networks), side-by-side
+comparisons of algorithms on the same networks, and GA parameter
+sweeps for tuning the GA budget.
 """
 
-from repro.analysis.convergence import ConvergenceReport, analyze_convergence
-from repro.analysis.statistics import (
-    SummaryStats,
-    paired_comparison,
-    summarize,
-)
+from repro.analysis.statistics import SummaryStats, summarize
 from repro.analysis.comparison import ComparisonReport, compare_algorithms
 from repro.analysis.sensitivity import (
     SensitivityResult,
@@ -20,11 +15,8 @@ from repro.analysis.sensitivity import (
 )
 
 __all__ = [
-    "ConvergenceReport",
-    "analyze_convergence",
     "SummaryStats",
     "summarize",
-    "paired_comparison",
     "ComparisonReport",
     "compare_algorithms",
     "SensitivityResult",

@@ -32,9 +32,9 @@ import numpy as np
 
 from repro.core.benefit import (
     benefit_matrix,
-    benefit_matrix_blocked,
     deallocation_estimate,
     deallocation_estimates_for_site,
+    replication_benefit,
 )
 from repro.core.cost import CostModel
 from repro.core.problem import DRPInstance
@@ -304,7 +304,7 @@ def _check_sra_benefit_ordering(ctx: ConformanceContext) -> List[str]:
 @invariant(
     "eq5-eq6-consistency",
     "the Eq. 5 benefit and Eq. 6 estimate are one arithmetic across the "
-    "matrix, blocked, scalar and vector implementations",
+    "matrix, scalar and vector implementations",
 )
 def _check_eq5_eq6_consistency(ctx: ConformanceContext) -> List[str]:
     out: List[str] = []
@@ -312,16 +312,16 @@ def _check_eq5_eq6_consistency(ctx: ConformanceContext) -> List[str]:
     uf = ctx.update_fraction
     p0 = ReplicationScheme.primary_only(instance)
     full = benefit_matrix(instance, p0, update_fraction=uf)
-    blocked = benefit_matrix_blocked(
-        instance, p0, update_fraction=uf, tile=3
-    )
-    if not np.array_equal(full, blocked, equal_nan=True):
-        bad = np.nonzero(~((full == blocked) | (np.isnan(full)
-                                                & np.isnan(blocked))))
-        out.append(
-            f"benefit_matrix_blocked differs from benefit_matrix at "
-            f"{len(bad[0])} cells (first: {bad[0][0]}, {bad[1][0]})"
+    for site, obj in zip(*np.nonzero(~p0.matrix)):
+        scalar = replication_benefit(
+            instance, p0, int(site), int(obj), update_fraction=uf
         )
+        if scalar != full[site, obj]:
+            out.append(
+                f"Eq. 5 scalar/matrix mismatch at (site {int(site)}, "
+                f"object {int(obj)}): {scalar!r} vs {full[site, obj]!r}"
+            )
+            break
     scheme = ctx.scheme
     for site in range(instance.num_sites):
         vec = deallocation_estimates_for_site(

@@ -15,18 +15,16 @@ from repro.core.scheme import ReplicationScheme
 from repro.core.cost import CostModel, SparseCostModel, cost_model_for
 from repro.core.benefit import (
     benefit_matrix,
-    benefit_matrix_blocked,
     deallocation_estimate,
     deallocation_estimates_for_site,
     replication_benefit,
 )
 from repro.core.fitness import fitness_from_costs, savings_percent
 from repro.core.incremental import IncrementalCostEvaluator, eq5_benefit
-from repro.core.strategies import WriteStrategy, compare_strategies
+from repro.core.strategies import WriteStrategy
 
 __all__ = [
     "WriteStrategy",
-    "compare_strategies",
     "DRPInstance",
     "ReplicationScheme",
     "CostModel",
@@ -36,7 +34,6 @@ __all__ = [
     "eq5_benefit",
     "replication_benefit",
     "benefit_matrix",
-    "benefit_matrix_blocked",
     "deallocation_estimate",
     "deallocation_estimates_for_site",
     "fitness_from_costs",

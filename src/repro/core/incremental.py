@@ -446,7 +446,7 @@ class ObjectColumnState:
 
     def _apply_add(self, site: int) -> None:
         self._column[site] = True
-        c = np.ascontiguousarray(self._cost[:, site])
+        c = self._model.transposed_cost[site]
         d1, d2 = self._d1, self._d2
         n1, n2 = self._n1, self._n2
         closer = c < d1

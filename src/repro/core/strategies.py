@@ -26,7 +26,7 @@ provides ground truth; tests bound the approximation error.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Union
+from typing import Union
 
 import numpy as np
 
@@ -142,16 +142,4 @@ def total_cost(
     )
 
 
-def compare_strategies(
-    instance: DRPInstance,
-    scheme: SchemeLike,
-    update_fraction: float = 1.0,
-) -> Dict[WriteStrategy, float]:
-    """Total NTC of the same placement under every strategy."""
-    return {
-        strategy: total_cost(instance, scheme, strategy, update_fraction)
-        for strategy in WriteStrategy
-    }
-
-
-__all__ = ["WriteStrategy", "object_cost", "total_cost", "compare_strategies"]
+__all__ = ["WriteStrategy", "object_cost", "total_cost"]

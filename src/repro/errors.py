@@ -47,10 +47,6 @@ class InfeasibleProblemError(ReproError):
     """
 
 
-class ConvergenceError(ReproError):
-    """An iterative algorithm failed to produce a usable result."""
-
-
 class SimulationError(ReproError):
     """The discrete-event simulator reached an inconsistent state."""
 

@@ -35,14 +35,12 @@ from repro.experiments.parallel import (
     GRAFactory,
     ParallelRunner,
     SRAFactory,
-    parallel_average_static_runs,
 )
 
 __all__ = [
     "ParallelRunner",
     "SRAFactory",
     "GRAFactory",
-    "parallel_average_static_runs",
     "ScaleProfile",
     "QUICK_PROFILE",
     "MID_PROFILE",

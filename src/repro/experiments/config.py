@@ -18,7 +18,7 @@ Select with ``REPRO_PROFILE=paper`` or pass a profile explicitly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from repro.algorithms.agra.params import AGRAParams

@@ -19,11 +19,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.agra.policies import AdaptationOutcome, run_adaptation
-from repro.algorithms.base import AlgorithmResult
+from repro.algorithms.agra.policies import run_adaptation
 from repro.algorithms.gra.engine import GRA
-from repro.algorithms.sra import SRA
-from repro.core.cost import CostModel
 from repro.errors import ValidationError
 from repro.experiments.config import ScaleProfile, get_profile
 from repro.experiments.harness import InstanceAverages, average_static_runs

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.algorithms.base import AlgorithmResult, ReplicationAlgorithm
 from repro.core.cost import CostModel
-from repro.core.problem import DRPInstance
 from repro.errors import ValidationError
 from repro.utils.metrics import MetricsRegistry, current_metrics
 from repro.utils.rng import SeedLike, spawn_seeds

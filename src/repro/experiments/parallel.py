@@ -408,22 +408,6 @@ class ParallelRunner:
         return True
 
 
-def parallel_average_static_runs(
-    spec: WorkloadSpec,
-    factories: Dict[str, object],
-    instances: int,
-    seed: SeedLike = None,
-    max_workers: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    metrics: Optional[MetricsRegistry] = None,
-):
-    """One-shot convenience wrapper around :class:`ParallelRunner`."""
-    runner = ParallelRunner(max_workers=max_workers, task_timeout=task_timeout)
-    return runner.average_static_runs(
-        spec, factories, instances, seed=seed, metrics=metrics
-    )
-
-
 __all__ = [
     "PARALLEL_ENV_VAR",
     "ParallelRunner",
@@ -431,5 +415,4 @@ __all__ = [
     "GRAFactory",
     "configure",
     "resolve_max_workers",
-    "parallel_average_static_runs",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.experiments.config import ScaleProfile, get_profile
-from repro.experiments.figures import FIGURES, FigureResult, run_figure
+from repro.experiments.figures import FigureResult, run_figure
 from repro.utils.metrics import MetricsRegistry
 
 
@@ -29,16 +29,9 @@ def render_figures(
     return "\n\n".join(blocks)
 
 
-def render_all(
-    profile: Optional[ScaleProfile] = None, seed: Optional[int] = None
-) -> str:
-    """Every figure of the paper, in order."""
-    return render_figures(sorted(FIGURES), profile, seed)
-
-
 def render_metrics(registry: MetricsRegistry, precision: int = 4) -> str:
     """Cache counters and per-phase timers as a terminal block."""
     return registry.render(precision=precision)
 
 
-__all__ = ["render_figure", "render_figures", "render_all", "render_metrics"]
+__all__ = ["render_figure", "render_figures", "render_metrics"]

@@ -5,14 +5,12 @@ matrix ``C(i, j)`` equal to the cumulative cost of the shortest path between
 sites (Section 2).  This package builds such matrices from explicit
 topologies (:class:`Topology`) with from-scratch all-pairs shortest-path
 routines, plus the random generators used by the paper's workload and a few
-extra families (tree, ring, star, grid, Waxman) for the examples.
+extra families (tree, ring, star, Waxman) for the examples.
 """
 
 from repro.network.topology import Topology
 from repro.network.shortest_paths import (
-    ShortestPathRowCache,
     all_pairs_dijkstra,
-    all_pairs_shortest_paths,
     floyd_warshall,
     is_metric,
     reconstruct_path,
@@ -24,7 +22,6 @@ from repro.network.routing import (
     total_link_cost,
 )
 from repro.network.generators import (
-    grid_topology,
     paper_cost_matrix,
     random_mesh_topology,
     random_tree_topology,
@@ -39,13 +36,10 @@ __all__ = [
     "link_loads",
     "total_link_cost",
     "hotspots",
-    "ShortestPathRowCache",
     "all_pairs_dijkstra",
-    "all_pairs_shortest_paths",
     "floyd_warshall",
     "is_metric",
     "reconstruct_path",
-    "grid_topology",
     "paper_cost_matrix",
     "random_mesh_topology",
     "random_tree_topology",

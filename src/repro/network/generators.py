@@ -5,7 +5,7 @@ with bidirectional links whose costs are drawn uniformly from ``{1..10}``
 (the number of TCP/IP hops), closed under shortest paths so that ``C(i, j)``
 is "the cumulative cost of the shortest path" as Section 2 requires.
 
-The remaining generators (tree, ring, star, grid, Waxman) are extensions
+The remaining generators (tree, ring, star, Waxman) are extensions
 used by the examples and by tests that need sparse or structured networks —
 e.g. the tree networks in which Wolfson et al.'s adaptive algorithm is
 optimal (Related Work, Section 7).
@@ -14,7 +14,6 @@ optimal (Related Work, Section 7).
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -102,21 +101,6 @@ def star_topology(num_sites: int, cost: float = 1.0, hub: int = 0) -> Topology:
     return topo
 
 
-def grid_topology(rows: int, cols: int, cost: float = 1.0) -> Topology:
-    """A rows x cols mesh grid with 4-neighbour links."""
-    if rows < 1 or cols < 1:
-        raise ValidationError(f"grid needs positive dims, got {rows}x{cols}")
-    topo = Topology(rows * cols)
-    for r in range(rows):
-        for c in range(cols):
-            node = r * cols + c
-            if c + 1 < cols:
-                topo.add_link(node, node + 1, cost)
-            if r + 1 < rows:
-                topo.add_link(node, node + cols, cost)
-    return topo
-
-
 def waxman_topology(
     num_sites: int,
     alpha: float = 0.6,
@@ -161,6 +145,5 @@ __all__ = [
     "random_tree_topology",
     "ring_topology",
     "star_topology",
-    "grid_topology",
     "waxman_topology",
 ]

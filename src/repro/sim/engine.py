@@ -9,7 +9,7 @@ early.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import Action, EventQueue

@@ -44,8 +44,8 @@ adaptive loop interprets them as *epoch numbers*.  See
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 

@@ -17,7 +17,7 @@ question the paper's storage constraint does not ask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

@@ -28,7 +28,7 @@ the original cost-exact protocol.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, TYPE_CHECKING
+from typing import Iterable, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.sim.metrics import (
     WRITE_TO_PRIMARY,
     SimulationMetrics,
 )
-from repro.workload.trace import READ, WRITE, Request
+from repro.workload.trace import READ, Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.faults import FaultInjector

@@ -30,7 +30,6 @@ from repro.utils.rng import as_generator, spawn_generators, spawn_seeds
 from repro.utils.tables import format_series, format_table
 from repro.utils.validation import (
     check_fraction,
-    check_index,
     check_matrix,
     check_positive,
     check_vector,
@@ -60,7 +59,6 @@ __all__ = [
     "format_series",
     "format_table",
     "check_fraction",
-    "check_index",
     "check_matrix",
     "check_positive",
     "check_vector",

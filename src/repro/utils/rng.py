@@ -9,7 +9,7 @@ independent child streams from a single master seed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -53,19 +53,6 @@ def spawn_generators(seed: SeedLike, count: int) -> List[np.random.Generator]:
     return [np.random.default_rng(s) for s in spawn_seeds(seed, count)]
 
 
-def random_round(value: float, rng: np.random.Generator) -> int:
-    """Round ``value`` to an integer, stochastically on the fractional part.
-
-    Used by stochastic-remainder selection: ``2.3`` becomes ``3`` with
-    probability ``0.3`` and ``2`` otherwise, keeping expectation exact.
-    """
-    base = int(np.floor(value))
-    frac = value - base
-    if frac > 0.0 and rng.random() < frac:
-        return base + 1
-    return base
-
-
 def weighted_choice(weights: np.ndarray, rng: np.random.Generator) -> int:
     """Roulette-wheel pick of an index proportionally to ``weights``.
 
@@ -88,6 +75,5 @@ __all__ = [
     "as_generator",
     "spawn_seeds",
     "spawn_generators",
-    "random_round",
     "weighted_choice",
 ]

@@ -45,7 +45,7 @@ import json
 import os
 import time
 from collections import deque
-from typing import Deque, Dict, IO, Iterable, List, Optional, Union
+from typing import Deque, Dict, IO, List, Optional
 
 from repro.errors import ValidationError
 from repro.utils.files import atomic_write, read_text

@@ -38,15 +38,6 @@ def check_fraction(name: str, value: float, allow_zero: bool = True) -> float:
     return value
 
 
-def check_index(name: str, value: int, size: int) -> int:
-    """Ensure ``value`` is a valid index into a collection of ``size``."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer index, got {value!r}")
-    if not 0 <= value < size:
-        raise ValidationError(f"{name} must be in [0, {size}), got {value}")
-    return int(value)
-
-
 def check_vector(
     name: str,
     array: np.ndarray,
@@ -92,7 +83,6 @@ def check_matrix(
 __all__ = [
     "check_positive",
     "check_fraction",
-    "check_index",
     "check_vector",
     "check_matrix",
 ]

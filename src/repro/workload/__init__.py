@@ -12,13 +12,10 @@ from repro.workload.spec import WorkloadSpec
 from repro.workload.generator import generate_instance, generate_instances
 from repro.workload.mutation import PatternChange, apply_pattern_change
 from repro.workload.sparse import SparseCounts, SparseProblem
-from repro.workload.temporal import DiurnalSpec, diurnal_epochs
 from repro.workload.trace import Request, generate_trace
 from repro.workload.zipf import zipf_weights, zipf_read_matrix
 
 __all__ = [
-    "DiurnalSpec",
-    "diurnal_epochs",
     "WorkloadSpec",
     "generate_instance",
     "generate_instances",

@@ -10,7 +10,7 @@ analytic ``D(X)`` — the key cross-validation of this reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 

@@ -10,7 +10,6 @@ from repro.algorithms.agra.policies import (
     POLICY_KINDS,
     POLICY_NAMES,
     run_adaptation,
-    run_all_policies,
     run_policy,
 )
 from repro.core import CostModel

@@ -370,3 +370,29 @@ class TestInjectedTilingBug:
     def test_missing_artifact_error_is_actionable(self, tmp_path):
         with pytest.raises(ValidationError, match="repro conform shrink"):
             load_artifact(str(tmp_path / "absent.json"))
+
+
+class TestInjectedEq5Bug:
+    """`eq5-eq6-consistency` prices every unheld cell of the Eq. 5 matrix
+    against the scalar `replication_benefit`, so one mispriced cell of
+    `benefit_matrix` is a violation."""
+
+    def test_one_perturbed_matrix_cell_is_reported(
+        self, tiny_instance, monkeypatch
+    ):
+        original = invariants_module.benefit_matrix
+
+        def off_by_one_cell(instance, scheme, update_fraction=1.0):
+            out = original(instance, scheme, update_fraction=update_fraction)
+            site, obj = np.argwhere(~np.isnan(out))[-1]
+            out[site, obj] = np.nextafter(out[site, obj], np.inf)
+            return out
+
+        monkeypatch.setattr(
+            invariants_module, "benefit_matrix", off_by_one_cell
+        )
+        violations = run_invariants(
+            ConformanceContext(tiny_instance), names=["eq5-eq6-consistency"]
+        )
+        assert len(violations) == 1
+        assert "Eq. 5 scalar/matrix mismatch" in violations[0].message

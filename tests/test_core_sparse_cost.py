@@ -17,8 +17,6 @@ from repro.core import (
     IncrementalCostEvaluator,
     ReplicationScheme,
     SparseCostModel,
-    benefit_matrix,
-    benefit_matrix_blocked,
     cost_model_for,
 )
 from repro.errors import ValidationError
@@ -119,33 +117,6 @@ class TestSparseCostModel:
     def test_cost_model_for_dispatch(self, dense_instance, sparse_problem):
         assert type(cost_model_for(dense_instance)) is CostModel
         assert isinstance(cost_model_for(sparse_problem), SparseCostModel)
-
-
-# --------------------------------------------------------------------- #
-# blocked Eq. 5 benefit kernel
-# --------------------------------------------------------------------- #
-class TestBenefitMatrixBlocked:
-    @pytest.mark.parametrize("tile", [2, 5, 256])
-    def test_matches_reference_on_dense_input(self, dense_instance, tile):
-        scheme = grown_scheme(dense_instance)
-        ref = benefit_matrix(dense_instance, scheme, update_fraction=0.5)
-        blk = benefit_matrix_blocked(
-            dense_instance, scheme, update_fraction=0.5, tile=tile
-        )
-        assert np.array_equal(np.isnan(ref), np.isnan(blk))
-        mask = ~np.isnan(ref)
-        assert np.array_equal(ref[mask], blk[mask])
-
-    def test_matches_reference_on_sparse_input(
-        self, dense_instance, sparse_problem
-    ):
-        scheme_d = grown_scheme(dense_instance)
-        scheme_s = grown_scheme(sparse_problem)
-        ref = benefit_matrix(dense_instance, scheme_d)
-        blk = benefit_matrix_blocked(sparse_problem, scheme_s, tile=4)
-        mask = ~np.isnan(ref)
-        assert np.array_equal(np.isnan(ref), np.isnan(blk))
-        assert np.array_equal(ref[mask], blk[mask])
 
 
 # --------------------------------------------------------------------- #

@@ -9,7 +9,6 @@ from repro.algorithms import SRA
 from repro.core import CostModel, ReplicationScheme
 from repro.core.strategies import (
     WriteStrategy,
-    compare_strategies,
     object_cost,
     total_cost,
 )
@@ -93,8 +92,7 @@ def test_invalidation_equals_broadcast_read_only(setup):
     inst, scheme = setup
     silent = inst.with_patterns(writes=np.zeros_like(inst.writes))
     s = ReplicationScheme.from_matrix(silent, scheme.matrix)
-    costs = compare_strategies(silent, s)
-    values = list(costs.values())
+    values = [total_cost(silent, s, strategy) for strategy in WriteStrategy]
     assert values[0] == pytest.approx(values[1])
     assert values[0] == pytest.approx(values[2])
 
@@ -131,13 +129,6 @@ def test_invalidation_simulator_state(manual_instance):
     before = system.metrics.total_ntc
     system.handle_read(2, 0)
     assert system.metrics.total_ntc == before
-
-
-def test_compare_strategies_keys(setup):
-    inst, scheme = setup
-    costs = compare_strategies(inst, scheme)
-    assert set(costs) == set(WriteStrategy)
-    assert all(v >= 0 for v in costs.values())
 
 
 def test_strategy_accepts_strings(setup):

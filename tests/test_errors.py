@@ -13,7 +13,6 @@ def test_all_errors_derive_from_repro_error():
         "CapacityError",
         "PrimaryCopyError",
         "InfeasibleProblemError",
-        "ConvergenceError",
         "SimulationError",
         "TopologyError",
         "ProtocolError",

@@ -17,7 +17,6 @@ from repro.experiments.parallel import (
     ParallelRunner,
     SRAFactory,
     configure,
-    parallel_average_static_runs,
     resolve_max_workers,
 )
 from repro.runtime import RunContext
@@ -67,14 +66,6 @@ def test_harness_max_workers_parameter_routes_to_pool():
         SPEC, FACTORIES, instances=2, seed=17, max_workers=2
     )
     assert _deterministic_fields(serial) == _deterministic_fields(pooled)
-
-
-def test_convenience_wrapper():
-    a = parallel_average_static_runs(
-        SPEC, FACTORIES, instances=2, seed=19, max_workers=2
-    )
-    b = average_static_runs(SPEC, FACTORIES, instances=2, seed=19)
-    assert _deterministic_fields(a) == _deterministic_fields(b)
 
 
 def test_unpicklable_factories_fall_back_to_serial_with_warning():

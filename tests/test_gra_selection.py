@@ -1,14 +1,11 @@
-"""Stochastic remainder and roulette selection."""
+"""Stochastic remainder selection."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.algorithms.gra.selection import (
-    roulette_selection,
-    stochastic_remainder_selection,
-)
+from repro.algorithms.gra.selection import stochastic_remainder_selection
 from repro.errors import ValidationError
 
 
@@ -75,28 +72,15 @@ def test_empty_pool_rejected():
         stochastic_remainder_selection(np.array([]), 2, rng)
 
 
-def test_roulette_proportions():
-    rng = np.random.default_rng(9)
-    fitness = np.array([0.7, 0.3])
-    chosen = roulette_selection(fitness, 5000, rng)
-    share = np.bincount(chosen, minlength=2) / 5000
-    assert abs(share[0] - 0.7) < 0.03
-
-
-def test_roulette_zero_fitness_uniform():
-    rng = np.random.default_rng(10)
-    chosen = roulette_selection(np.zeros(3), 300, rng)
-    assert set(chosen) == {0, 1, 2}
-
-
 def test_stochastic_remainder_lower_variance_than_roulette():
-    # the paper's stated motivation: smaller sampling error
+    # the paper's stated motivation: smaller sampling error than
+    # Holland's plain roulette wheel, drawn here with rng.choice
     rng = np.random.default_rng(11)
     fitness = np.array([0.5, 0.5])
     sr_counts, rl_counts = [], []
     for _ in range(300):
         sr = stochastic_remainder_selection(fitness, 10, rng)
-        rl = roulette_selection(fitness, 10, rng)
+        rl = rng.choice(fitness.size, size=10, p=fitness)
         sr_counts.append(np.bincount(sr, minlength=2)[0])
         rl_counts.append(np.bincount(rl, minlength=2)[0])
     assert np.var(sr_counts) < np.var(rl_counts)

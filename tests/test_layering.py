@@ -1,7 +1,8 @@
 """Layer boundaries, enforced with the stdlib ``ast`` — no lint deps.
 
-Two contracts (mirrored in ``pyproject.toml``'s import-linter config,
-which CI additionally runs on a runner that has the tool installed):
+Three contracts (the first mirrored in ``pyproject.toml``'s
+import-linter config, which CI additionally runs on a runner that has
+the tool installed):
 
 1. **Import layering** — lower layers must not import higher ones, even
    lazily inside functions.  In particular ``repro.core`` (and the other
@@ -13,6 +14,10 @@ which CI additionally runs on a runner that has the tool installed):
    or a direct ``slot.recorder = ...``) only by
    ``repro/utils/recorders.py`` and ``repro/runtime/``.  Everything else
    must go through :class:`repro.runtime.context.RunContext`.
+3. **No unused imports** — every name a non-``__init__`` module imports
+   is used in it (a name listed in ``__all__`` or quoted in a string
+   annotation counts as used).  CI's ruff tier selects only the
+   ``E9``/``F63``/``F7``/``F82`` error classes, which do not flag these.
 """
 
 from __future__ import annotations
@@ -184,3 +189,80 @@ def test_contracts_cover_every_package():
         f"add them to FORBIDDEN_IMPORTS (or the known-leaf list) in "
         f"tests/test_layering.py and pyproject.toml's import-linter config"
     )
+
+
+def _string_annotation_names(tree: ast.AST) -> Set[str]:
+    """Names inside quoted annotations such as ``Optional["Tracer"]``."""
+    annotations: List[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names: Set[str] = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(
+                    n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)
+                )
+    return names
+
+
+def _unused_imports(tree: ast.AST) -> List[str]:
+    """Imported names that nothing in the module reads or re-exports."""
+    imported: Dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _string_annotation_names(tree)
+    for node in getattr(tree, "body", []):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [
+        f"line {line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+        if name not in used
+    ]
+
+
+def test_no_unused_imports():
+    violations = []
+    for rel, _segment, tree in _modules():
+        if os.path.basename(rel) == "__init__.py":
+            continue  # package namespaces import in order to re-export
+        violations.extend(f"{rel} {what}" for what in _unused_imports(tree))
+    assert not violations, (
+        "imported names that are never used:\n  " + "\n  ".join(violations)
+    )
+
+
+def test_unused_import_scan_catches_each_form():
+    """The walk flags unused bindings and honours the three kinds of use."""
+    snippet = ast.parse(
+        "import os.path\n"
+        "import json as js\n"
+        "from typing import Dict, List, Optional, TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.utils.tracing import Tracer\n"
+        "from repro.errors import ValidationError\n"
+        "def f(t: Optional['Tracer']) -> List[int]:\n"
+        "    return os.getcwd()\n"
+        "__all__ = ['ValidationError']\n"
+    )
+    assert _unused_imports(snippet) == ["line 2: js", "line 3: Dict"]

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.network import (
-    grid_topology,
     paper_cost_matrix,
     random_mesh_topology,
     random_tree_topology,
@@ -71,16 +70,6 @@ def test_star_topology():
     assert all(topo.degree(i) == 1 for i in range(6) if i != 2)
     with pytest.raises(ValidationError):
         star_topology(6, hub=6)
-
-
-def test_grid_topology():
-    topo = grid_topology(3, 4)
-    assert topo.num_sites == 12
-    # links: 3*(4-1) horizontal + (3-1)*4 vertical = 9 + 8
-    assert topo.num_links == 17
-    assert topo.is_connected()
-    with pytest.raises(ValidationError):
-        grid_topology(0, 4)
 
 
 def test_waxman_connected_and_deterministic():

@@ -8,9 +8,7 @@ import pytest
 from repro.errors import TopologyError, ValidationError
 from repro.network.generators import random_mesh_topology, random_tree_topology
 from repro.network.shortest_paths import (
-    ShortestPathRowCache,
     all_pairs_dijkstra,
-    all_pairs_shortest_paths,
     dijkstra,
     floyd_warshall,
     is_metric,
@@ -79,22 +77,6 @@ def test_reconstruct_unreachable_raises():
     _, nxt = floyd_warshall(adj, return_successors=True)
     with pytest.raises(TopologyError):
         reconstruct_path(nxt, 0, 1)
-
-
-def test_auto_dispatch_matches_both():
-    topo = random_mesh_topology(10, rng=6)
-    adj = topo.adjacency_matrix()
-    expected = floyd_warshall(adj)
-    assert np.allclose(all_pairs_shortest_paths(adj, "auto"), expected)
-    assert np.allclose(
-        all_pairs_shortest_paths(adj, "floyd-warshall"), expected
-    )
-    assert np.allclose(all_pairs_shortest_paths(adj, "dijkstra"), expected)
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValidationError):
-        all_pairs_shortest_paths(line_adjacency(), "bellman")
 
 
 def test_validation_rejects_nonzero_diagonal():
@@ -173,65 +155,3 @@ def test_dijkstra_disconnected_distances():
     dist = dijkstra(disconnected_adjacency(), 0)
     assert list(dist[:2]) == [0.0, 2.0]
     assert np.all(np.isinf(dist[2:]))
-
-
-# --------------------------------------------------------------------- #
-# ShortestPathRowCache: memory-bounded per-source closure
-# --------------------------------------------------------------------- #
-class TestShortestPathRowCache:
-    def test_distances_bit_equal_dijkstra(self):
-        topo = random_mesh_topology(18, rng=21)
-        adj = topo.adjacency_matrix()
-        cache = ShortestPathRowCache(adj)
-        for source in range(18):
-            assert np.array_equal(
-                cache.distances(source), dijkstra(adj, source)
-            )
-
-    def test_path_is_a_valid_shortest_path(self):
-        topo = random_mesh_topology(15, rng=22)
-        adj = topo.adjacency_matrix()
-        cache = ShortestPathRowCache(adj)
-        dist = floyd_warshall(adj)
-        for source in range(15):
-            for target in range(15):
-                path = cache.path(source, target)
-                assert path[0] == source and path[-1] == target
-                hops = sum(
-                    adj[a, b] for a, b in zip(path, path[1:])
-                )
-                assert hops == pytest.approx(dist[source, target])
-
-    def test_unreachable_path_raises(self):
-        cache = ShortestPathRowCache(disconnected_adjacency())
-        assert np.isinf(cache.distance(0, 3))
-        with pytest.raises(TopologyError):
-            cache.path(0, 3)
-        assert cache.path(0, 0) == [0]
-
-    def test_lru_eviction_bounds_rows(self):
-        topo = random_mesh_topology(10, rng=23)
-        adj = topo.adjacency_matrix()
-        cache = ShortestPathRowCache(adj, max_rows=3)
-        for source in range(10):
-            cache.distances(source)
-        info = cache.cache_info()
-        assert info["rows"] <= 3
-        assert info["capacity"] == 3
-        assert info["misses"] == 10
-
-    def test_cache_hits_counted(self):
-        cache = ShortestPathRowCache(line_adjacency(), max_rows=2)
-        cache.distances(0)
-        cache.distances(0)
-        cache.distance(0, 2)
-        info = cache.cache_info()
-        assert info["misses"] == 1
-        assert info["hits"] == 2
-        assert info["hit_rate"] == pytest.approx(2 / 3)
-
-    def test_rejects_nan_adjacency(self):
-        adj = line_adjacency()
-        adj[0, 2] = adj[2, 0] = np.nan
-        with pytest.raises(ValidationError):
-            ShortestPathRowCache(adj)

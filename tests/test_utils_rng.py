@@ -7,7 +7,6 @@ import pytest
 
 from repro.utils.rng import (
     as_generator,
-    random_round,
     spawn_generators,
     spawn_seeds,
     weighted_choice,
@@ -53,19 +52,6 @@ def test_spawn_from_generator_advances():
     first = spawn_seeds(gen, 1)[0]
     second = spawn_seeds(gen, 1)[0]
     assert first.spawn_key != second.spawn_key
-
-
-def test_random_round_exact_integers():
-    rng = np.random.default_rng(0)
-    assert random_round(3.0, rng) == 3
-    assert random_round(0.0, rng) == 0
-
-
-def test_random_round_expectation():
-    rng = np.random.default_rng(1)
-    values = [random_round(2.3, rng) for _ in range(4000)]
-    assert set(values) <= {2, 3}
-    assert abs(np.mean(values) - 2.3) < 0.05
 
 
 def test_weighted_choice_respects_weights():

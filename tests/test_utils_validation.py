@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.utils.validation import (
     check_fraction,
-    check_index,
     check_matrix,
     check_positive,
     check_vector,
@@ -50,24 +49,6 @@ class TestCheckFraction:
     def test_rejects_above_one(self):
         with pytest.raises(ValidationError):
             check_fraction("p", 1.01)
-
-
-class TestCheckIndex:
-    def test_valid(self):
-        assert check_index("i", 3, 5) == 3
-
-    def test_numpy_integer_ok(self):
-        assert check_index("i", np.int64(2), 5) == 2
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            check_index("i", 5, 5)
-        with pytest.raises(ValidationError):
-            check_index("i", -1, 5)
-
-    def test_non_integer(self):
-        with pytest.raises(ValidationError):
-            check_index("i", 1.5, 5)
 
 
 class TestCheckVector:
