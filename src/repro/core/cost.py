@@ -72,6 +72,31 @@ def eq4_object_term(
     return read_term + nonrep_writes + rep_writes
 
 
+def unique_packed_rows(
+    columns: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a boolean ``(P, M)`` stack, found on packed bits.
+
+    Returns ``(packed, first, inverse)``.  ``packed`` is
+    ``np.packbits(columns, axis=1)``, so ``packed[i].tobytes()`` is row
+    ``i``'s memo-cache key ``np.packbits(columns[i]).tobytes()``.
+    ``columns[first]`` are the distinct rows, each taken at its first
+    occurrence, and ``columns[first][inverse]`` rebuilds ``columns``.
+    Big-endian packing with zero padding sorts the packed bytes like the
+    bool rows, so ``columns[first]`` and ``inverse`` equal what a
+    row-wise :func:`numpy.unique` (over axis 0) returns.  A one-row stack
+    skips the sort.
+    """
+    packed = np.packbits(columns, axis=1)
+    if packed.shape[0] == 1:
+        zero = np.zeros(1, dtype=np.intp)
+        return packed, zero, zero
+    # One np.void scalar per packed row: a 1-D unique over raw bytes.
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return packed, first, inverse
+
+
 class CostModel:
     """Vectorised evaluator of the total network transfer cost ``D``.
 
@@ -322,10 +347,13 @@ class CostModel:
         """Costs of many replica columns of one object at once.
 
         ``columns`` is a boolean ``(P, M)`` stack.  Duplicate columns are
-        collapsed with :func:`numpy.unique` and cached costs are reused;
-        each remaining fresh column gathers its nearest-replicator
-        distances over its replicator set only and is priced by
-        :func:`eq4_object_term`, so every row equals
+        collapsed on their packed bits (:func:`unique_packed_rows`), and
+        each packed row is also the column's memo-cache key, so a stack
+        is packed once.  Distinct columns are probed in bool-row order,
+        the order a row-wise :func:`numpy.unique` yields, and cached costs
+        are reused; each remaining fresh column gathers its
+        nearest-replicator distances over its replicator set only and is
+        priced by :func:`eq4_object_term`, so every row equals
         :meth:`object_cost_cached` bit for bit.  Used by GA population
         evaluation where whole generations share columns.
         """
@@ -355,18 +383,14 @@ class CostModel:
         return self._object_costs_batch(obj, columns)
 
     def _object_costs_batch(self, obj: int, columns: np.ndarray) -> np.ndarray:
-        unique, inverse = np.unique(columns, axis=0, return_inverse=True)
-        # NumPy 2.1 returns the inverse with an extra axis under ``axis=``
-        # (reverted again in 2.2); flatten so indexing below always yields
-        # a (P,) result on every supported NumPy.
-        inverse = np.asarray(inverse).reshape(-1)
-        unique_costs = np.empty(unique.shape[0])
+        packed, first, inverse = unique_packed_rows(columns)
+        unique_costs = np.empty(first.shape[0])
         misses: list = []
         # Probe every row before storing any, so a store cannot evict an
         # entry a later row of the same batch would have hit.
-        for idx in range(unique.shape[0]):
-            key = np.packbits(unique[idx]).tobytes()
-            hit = self.cache_lookup(obj, unique[idx], key)
+        for idx, row in enumerate(first):
+            key = packed[row].tobytes()
+            hit = self.cache_lookup(obj, columns[row], key)
             if hit is None:
                 misses.append((idx, key))
             else:
@@ -374,7 +398,7 @@ class CostModel:
         cost_t = self._cost_t
         operands = self._columns(obj)
         for idx, key in misses:
-            mask = unique[idx]
+            mask = columns[first[idx]]
             nearest = cost_t[np.nonzero(mask)[0]].min(axis=0)
             value = eq4_object_term(operands, mask, nearest)
             unique_costs[idx] = value
@@ -397,10 +421,11 @@ class CostModel:
         mats = [self._as_matrix(m) for m in matrices]
         if not mats:
             return np.empty(0)
+        # (N, P, M): object k's column stack is the contiguous block cube[k].
+        cube = np.stack([m.T for m in mats], axis=1)
         totals = np.zeros(len(mats))
         for k in range(self._instance.num_objects):
-            columns = np.stack([m[:, k] for m in mats])
-            totals += self.object_costs_batch(k, columns)
+            totals += self.object_costs_batch(k, cube[k])
         return totals
 
     def primary_only_object_cost(self, obj: int) -> float:
@@ -778,4 +803,5 @@ __all__ = [
     "SparseCostModel",
     "cost_model_for",
     "reference_total_cost",
+    "unique_packed_rows",
 ]

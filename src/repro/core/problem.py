@@ -214,7 +214,8 @@ class DRPInstance:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DRPInstance":
         """Inverse of :meth:`to_dict`; a malformed ``data`` is a
-        :class:`ValidationError` naming the missing or non-numeric field."""
+        :class:`ValidationError` naming the missing, non-numeric or
+        out-of-range field, or the non-integral ``primaries``."""
         if not isinstance(data, dict):
             raise ValidationError(
                 f"instance data must be a JSON object, got {type(data).__name__}"
@@ -226,10 +227,18 @@ class DRPInstance:
                 raise ValidationError(f"instance data has no {name!r} field")
             try:
                 fields[name] = np.asarray(data[name], dtype=dtype)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
+                # OverflowError: inf or an int past int64 in primaries,
+                # an int past the float range anywhere
                 raise ValidationError(
                     f"instance field {name!r} is not a numeric array"
                 ) from None
+        # The int64 cast truncates 2.9 to 2; a site index must be whole.
+        as_float = np.asarray(data["primaries"], dtype=float)
+        if np.any(fields["primaries"] != as_float):
+            raise ValidationError(
+                "instance field 'primaries' holds a non-integral site index"
+            )
         return cls(**fields)
 
     def __eq__(self, other: object) -> bool:

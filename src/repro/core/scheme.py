@@ -330,12 +330,14 @@ class ReplicationScheme:
         if not isinstance(data, dict) or "matrix" not in data:
             raise ValidationError("scheme data has no 'matrix' field")
         try:
-            matrix = np.asarray(data["matrix"], dtype=bool)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                "scheme field 'matrix' is not a 0/1 array"
-            ) from None
-        return cls(instance, matrix)
+            # float, not bool: a bool cast reads 2.5, NaN or null as a
+            # replica bit instead of rejecting it
+            matrix = np.asarray(data["matrix"], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            matrix = None
+        if matrix is None or not np.all((matrix == 0) | (matrix == 1)):
+            raise ValidationError("scheme field 'matrix' is not a 0/1 array")
+        return cls(instance, matrix.astype(bool))
 
     def __repr__(self) -> str:
         return (

@@ -42,7 +42,8 @@ def _read(path: PathLike, expected_kind: str) -> dict:
     path = Path(path)
     try:
         document = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an int literal past Python's digit limit
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise ValidationError(f"{path} does not contain a JSON object")

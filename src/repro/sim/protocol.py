@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
+from repro.core.strategies import WriteStrategy
 from repro.errors import SimulationError, ValidationError
 from repro.obs.ledger import current_ledger
 from repro.sim.engine import Simulator
@@ -73,8 +74,6 @@ class ReplicaSystem:
         update_fraction: float = 1.0,
         write_strategy: "WriteStrategy | str" = None,
     ) -> None:
-        from repro.core.strategies import WriteStrategy
-
         if not 0.0 <= update_fraction <= 1.0:
             raise ValidationError(
                 f"update_fraction must lie in [0, 1], got {update_fraction}"
@@ -185,8 +184,6 @@ class ReplicaSystem:
         """
         if site not in self._failed:
             raise ValidationError(f"site {site} is not failed")
-        from repro.core.strategies import WriteStrategy
-
         self._failed.discard(site)
         refetches = 0
         for obj in self.scheme.objects_at(site):
@@ -264,8 +261,6 @@ class ReplicaSystem:
         Under the invalidation strategy a stale replica (local or
         nearest) first refetches the current version from the primary.
         """
-        from repro.core.strategies import WriteStrategy
-
         if site in self._failed:
             self.metrics.record_rejected_read()
             return 0.0
@@ -315,8 +310,6 @@ class ReplicaSystem:
           marked stale (invalidation messages are cost-free control
           traffic).
         """
-        from repro.core.strategies import WriteStrategy
-
         if site in self._failed:
             self.metrics.record_rejected_write()
             return 0.0

@@ -112,6 +112,29 @@ def test_directory_as_instance_is_clean_error(tmp_path, capsys):
     assert "cannot read" in captured.err
 
 
+#: one bad ``primaries`` entry of an instance file: (value, message)
+_BAD_PRIMARIES = {
+    "infinite": (float("inf"), "'primaries' is not a numeric array"),
+    "fractional": (0.9, "'primaries' holds a non-integral site index"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PRIMARIES))
+def test_bad_primary_is_clean_error(case, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    assert main(["generate", "--sites", "4", "--objects", "4",
+                 "--seed", "1", "-o", str(path)]) == 0
+    value, message = _BAD_PRIMARIES[case]
+    document = json.loads(path.read_text())
+    document["data"]["primaries"][0] += value
+    path.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
 #: every other reader of a user-named file: argv for a path ``P``
 _FILE_READERS = {
     "trace": lambda p, tmp: ["trace", p],

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.algorithms.gra.encoding import random_valid_chromosome
 from repro.core import CostModel
+from repro.core.cost import unique_packed_rows
 from repro.errors import ValidationError
 
 
@@ -24,7 +26,7 @@ def test_batch_object_costs_match_sequential(small_instance, rng):
         columns = np.stack([m[:, obj] for m in mats])
         batch = model.object_costs_batch(obj, columns)
         sequential = [model.object_cost(obj, c) for c in columns]
-        assert np.allclose(batch, sequential)
+        assert batch.tolist() == sequential
 
 
 def test_population_costs_match_total_cost(small_instance, rng):
@@ -65,34 +67,59 @@ def test_batch_shape_validation(small_instance):
         model.object_costs_batch(0, np.zeros((2, 3), dtype=bool))
 
 
-def test_batch_robust_to_unique_inverse_shape(
-    small_instance, rng, monkeypatch
-):
-    """Regression: NumPy 2.1 returned ``return_inverse`` with an extra
-    axis under ``axis=0`` (shape ``(P, 1)`` instead of ``(P,)``), which
-    silently broke ``unique_costs[inverse]``.  Simulate that shape and
-    assert the batch path still returns a flat, correct result."""
-    real_unique = np.unique
+@st.composite
+def bool_stacks(draw):
+    """A ``(P, M)`` bool stack whose rows repeat a small pool of columns."""
+    m = draw(st.integers(1, 70))
+    pool = draw(
+        st.lists(
+            st.lists(st.booleans(), min_size=m, max_size=m),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return np.array([pool[i] for i in picks], dtype=bool).reshape(len(picks), m)
 
-    def unique_with_column_inverse(ar, *args, **kwargs):
-        out = real_unique(ar, *args, **kwargs)
-        if kwargs.get("return_inverse") and kwargs.get("axis") is not None:
-            uniq, inverse = out
-            return uniq, inverse.reshape(-1, 1)
-        return out
 
-    monkeypatch.setattr(np, "unique", unique_with_column_inverse)
-    model = CostModel(small_instance, cache_size=0)
-    mats = random_matrices(small_instance, rng)
-    columns = np.stack([m[:, 0] for m in mats])
-    batch = model.object_costs_batch(0, columns)
-    assert batch.shape == (columns.shape[0],)
-    sequential = [model.object_cost(0, c) for c in columns]
-    assert np.allclose(batch, sequential)
+@settings(max_examples=200, deadline=None)
+@given(bool_stacks())
+@example(np.array([[True, False, True]]))  # P = 1 skips the dedup
+@example(np.zeros((5, 13), dtype=bool))  # all rows equal, M % 8 != 0
+@example(np.eye(16, dtype=bool)[::-1])  # M % 8 == 0, rows out of order
+def test_packed_dedup_matches_unique_axis0(columns):
+    """The packed-row dedup yields ``np.unique(axis=0)``'s distinct rows,
+    in its order, with its inverse — and each row's packed bytes are its
+    memo-cache key."""
+    packed, first, inverse = unique_packed_rows(columns)
+    unique, ref_inverse = np.unique(columns, axis=0, return_inverse=True)
+    assert np.array_equal(columns[first], unique)
+    assert inverse.shape == (columns.shape[0],)
+    assert np.array_equal(inverse, np.asarray(ref_inverse).reshape(-1))
+    # ``first`` points at each distinct row's first occurrence
+    assert [int(np.argmax(inverse == u)) for u in range(len(first))] == list(first)
+    for row, bits in zip(packed, columns):
+        assert row.tobytes() == np.packbits(bits).tobytes()
+
+
+def test_batch_probes_each_distinct_row_once(small_instance, rng):
+    model = CostModel(small_instance)
+    mats = random_matrices(small_instance, rng, count=4)
+    columns = np.stack([m[:, 0] for m in mats + mats + mats[:1]])
+    distinct = np.unique(columns, axis=0).shape[0]
+    for expected_hits in (0, distinct):  # cold cache, then warm
+        before = model.cache_info()
+        model.object_costs_batch(0, columns)
+        after = model.cache_info()
+        probes = (after["hits"] + after["misses"]) - (
+            before["hits"] + before["misses"]
+        )
+        assert probes == distinct
+        assert after["hits"] - before["hits"] == expected_hits
 
 
 def test_batch_flat_inverse_still_works(small_instance, rng):
-    """The flat (NumPy 1.x / 2.2+) inverse shape stays correct too."""
+    """Duplicate rows of one stack share one price, in input order."""
     model = CostModel(small_instance)
     mats = random_matrices(small_instance, rng, count=5)
     columns = np.stack([m[:, 1] for m in mats] + [mats[0][:, 1]])
