@@ -311,9 +311,10 @@ def load_artifact(path: str) -> Dict[str, object]:
             f"`repro conform shrink --scenario NAME --out {path}` or "
             f"download the conformance job's shrunken-repro artifact"
         )
+    text = read_text(path)
     try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except ValueError as exc:  # also an int literal past the digit limit
         raise ValidationError(
             f"{path} is not valid JSON ({exc}); expected a "
             f"`repro conform shrink` artifact"

@@ -29,7 +29,12 @@ def random_mesh_topology(
     max_cost: int = 10,
     rng: SeedLike = None,
 ) -> Topology:
-    """The paper's network: a complete graph with U[min_cost, max_cost] links."""
+    """The paper's network: a complete graph with U[min_cost, max_cost] links.
+
+    All M(M-1)/2 link costs come from one ``gen.integers`` call, scattered
+    in row-major ``i < j`` order.  That is the same stream, and leaves the
+    generator in the same state, as one scalar draw per link in that order.
+    """
     if num_sites < 1:
         raise ValidationError(f"num_sites must be >= 1, got {num_sites}")
     if not 0 < min_cost <= max_cost:
@@ -37,11 +42,12 @@ def random_mesh_topology(
             f"need 0 < min_cost <= max_cost, got ({min_cost}, {max_cost})"
         )
     gen = as_generator(rng)
-    topo = Topology(num_sites)
-    for i in range(num_sites):
-        for j in range(i + 1, num_sites):
-            topo.add_link(i, j, int(gen.integers(min_cost, max_cost + 1)))
-    return topo
+    adjacency = np.zeros((num_sites, num_sites))
+    adjacency[np.triu_indices(num_sites, 1)] = gen.integers(
+        min_cost, max_cost + 1, size=num_sites * (num_sites - 1) // 2
+    )
+    adjacency += adjacency.T
+    return Topology._from_link_rows(adjacency)
 
 
 def paper_cost_matrix(
@@ -57,8 +63,11 @@ def paper_cost_matrix(
     """
     if num_sites == 1:
         return np.zeros((1, 1))
-    topo = random_mesh_topology(num_sites, min_cost, max_cost, rng)
-    return floyd_warshall(topo.adjacency_matrix())
+    # the topology's link dicts are dropped before the closure runs
+    adjacency = random_mesh_topology(
+        num_sites, min_cost, max_cost, rng
+    ).adjacency_matrix()
+    return floyd_warshall(adjacency)
 
 
 def random_tree_topology(

@@ -128,9 +128,13 @@ class Topology:
         """Dense matrix of direct link costs; ``inf`` where no link, 0 diagonal."""
         mat = np.full((self._num_sites, self._num_sites), np.inf)
         np.fill_diagonal(mat, 0.0)
-        for i, j, cost in self.links():
-            mat[i, j] = cost
-            mat[j, i] = cost
+        # links are stored in both endpoints' rows, so filling every row
+        # from its own mapping sets both halves of the symmetric matrix
+        for i, nbrs in enumerate(self._adjacency):
+            count = len(nbrs)
+            mat[i, np.fromiter(nbrs, np.intp, count)] = np.fromiter(
+                nbrs.values(), np.float64, count
+            )
         return mat
 
     def cost_matrix(self) -> np.ndarray:
@@ -153,6 +157,8 @@ class Topology:
         """Build a topology from a symmetric direct-cost matrix.
 
         Entries that are ``inf`` or ``<= 0`` off the diagonal mean "no link".
+        Symmetry is checked up to :func:`numpy.allclose`; where the two
+        halves differ within that tolerance, the upper triangle's cost wins.
         """
         mat = np.asarray(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -161,12 +167,24 @@ class Topology:
             )
         if not np.allclose(mat, mat.T, equal_nan=True):
             raise ValidationError("adjacency matrix must be symmetric")
+        lower = np.tri(mat.shape[0], dtype=bool)
+        return cls._from_link_rows(np.where(lower, mat.T, mat))
+
+    @classmethod
+    def _from_link_rows(cls, mat: np.ndarray) -> "Topology":
+        """Bulk build from an exactly symmetric float matrix of link costs.
+
+        Every finite, positive off-diagonal entry is a link; each site's
+        neighbour mapping is made in one step from its row, in ascending
+        neighbour order (the order ``add_link`` calls in row-major
+        ``i < j`` order would give).
+        """
         topo = cls(mat.shape[0])
-        for i in range(mat.shape[0]):
-            for j in range(i + 1, mat.shape[1]):
-                cost = mat[i, j]
-                if np.isfinite(cost) and cost > 0:
-                    topo.add_link(i, j, cost)
+        linked = np.isfinite(mat) & (mat > 0)
+        np.fill_diagonal(linked, False)
+        for i, row in enumerate(linked):
+            cols = np.flatnonzero(row)
+            topo._adjacency[i] = dict(zip(cols.tolist(), mat[i, cols].tolist()))
         return topo
 
     def to_dict(self) -> dict:

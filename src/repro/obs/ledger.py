@@ -192,7 +192,7 @@ def read_ledger(path: str) -> List[Entry]:
             continue
         try:
             entry = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int literal past the digit limit
             raise ValidationError(
                 f"{path} is not a valid ledger file: {exc}"
             ) from None

@@ -369,7 +369,7 @@ def load_fault_plan(path: str) -> FaultPlan:
     text = read_text(path, "fault plan", FaultPlanError)
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int literal past the digit limit
         raise FaultPlanError(f"{path} is not valid JSON: {exc}") from None
     return FaultPlan.from_dict(data)
 

@@ -492,7 +492,7 @@ def read_trace(path: str) -> Dict[str, object]:
     if stripped.startswith("{") and '"traceEvents"' in stripped[:2000]:
         try:
             data = json.loads(content)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int literal past the digit limit
             raise ValidationError(
                 f"{path} is not a valid trace file: {exc}"
             ) from None
@@ -518,7 +518,7 @@ def read_trace(path: str) -> Dict[str, object]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an int literal past the digit limit
                 raise ValidationError(
                     f"{path} is not a valid trace file: {exc}"
                 ) from None

@@ -197,6 +197,52 @@ def test_wrong_shape_trace_is_clean_error(case, tmp_path, capsys):
     assert message in captured.err
 
 
+#: 5,000 digits: past Python's int-string conversion limit of 4,300
+_HUGE_INT = "9" * 5000
+
+#: a file holding one over-long int literal, per reader: (argv, content)
+_HUGE_INT_FILES = {
+    "simulate-faults": (
+        lambda p, scheme: ["simulate", scheme, "--faults", p],
+        '{"seed": %s}' % _HUGE_INT,
+    ),
+    "explain": (
+        lambda p, scheme: ["explain", p, "--object", "0"],
+        '{"seq": %s, "action": "add", "obj": 0, "site": 0}\n' % _HUGE_INT,
+    ),
+    "trace-jsonl": (
+        lambda p, scheme: ["trace", p],
+        '{"type": "meta", "dropped": %s}\n' % _HUGE_INT,
+    ),
+    "trace-chrome": (
+        lambda p, scheme: ["trace", p],
+        '{"traceEvents": [], "otherData": {"dropped": %s}}' % _HUGE_INT,
+    ),
+    "shrink-artifact": (
+        lambda p, scheme: ["conform", "shrink", "--artifact", p],
+        '{"kind": %s}' % _HUGE_INT,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HUGE_INT_FILES))
+def test_int_past_digit_limit_is_clean_error(case, instance_file, tmp_path, capsys):
+    argv, content = _HUGE_INT_FILES[case]
+    scheme = tmp_path / "scheme.json"
+    assert main([
+        "solve", str(instance_file), "--algorithm", "sra",
+        "--save-scheme", str(scheme),
+    ]) == 0
+    path = tmp_path / "huge.json"
+    path.write_text(content)
+    capsys.readouterr()
+    assert main(argv(str(path), str(scheme))) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert "digits" in captured.err
+
+
 def test_wrong_shape_ledger_is_clean_error(tmp_path, capsys):
     path = tmp_path / "bad.ledger.jsonl"
     path.write_text('{"seq": 0, "action": "add", "obj": 0, "site": 0}\n[1,2]\n')

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.network import (
+    Topology,
     paper_cost_matrix,
     random_mesh_topology,
     random_tree_topology,
@@ -91,3 +92,43 @@ def test_generators_reject_bad_sizes():
         random_mesh_topology(0)
     with pytest.raises(ValidationError):
         random_mesh_topology(3, min_cost=5, max_cost=4)
+
+
+# --------------------------------------------------------------------- #
+# the vectorised mesh draw is the scalar per-link draw, stream included
+# --------------------------------------------------------------------- #
+def scalar_mesh_reference(num_sites, min_cost, max_cost, gen):
+    """One scalar draw and one ``add_link`` per link, row-major ``i < j``."""
+    topo = Topology(num_sites)
+    for i in range(num_sites):
+        for j in range(i + 1, num_sites):
+            topo.add_link(i, j, int(gen.integers(min_cost, max_cost + 1)))
+    return topo
+
+
+@pytest.mark.parametrize(
+    "num_sites, min_cost, max_cost",
+    [
+        (1, 1, 10),
+        (2, 1, 10),  # one pair
+        (3, 1, 10),  # three pairs (odd)
+        (6, 1, 10),  # fifteen pairs (odd)
+        (8, 1, 10),  # 28 pairs (even)
+        (13, 3, 1000),
+        (11, 5, 5),  # min_cost == max_cost
+        (10, 1, 2**40),
+    ],
+)
+def test_mesh_matches_scalar_reference(num_sites, min_cost, max_cost):
+    gen_ref = np.random.default_rng(7)
+    gen_new = np.random.default_rng(7)
+    ref = scalar_mesh_reference(num_sites, min_cost, max_cost, gen_ref)
+    topo = random_mesh_topology(num_sites, min_cost, max_cost, gen_new)
+    assert topo == ref
+    assert np.array_equal(topo.adjacency_matrix(), ref.adjacency_matrix())
+    for i in range(num_sites):
+        assert list(topo.neighbors(i).items()) == list(ref.neighbors(i).items())
+    # the generator is left where the scalar draws leave it
+    assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+    assert gen_new.integers(0, 2**62) == gen_ref.integers(0, 2**62)
+
