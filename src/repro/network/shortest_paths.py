@@ -84,6 +84,9 @@ def floyd_warshall(
 ) -> np.ndarray:
     """Dense all-pairs shortest paths in ``O(M^3)`` (row-vectorised).
 
+    Every variant relaxes in place over buffers allocated once, so a
+    closure allocates O(M^2) memory, not O(M^2) per intermediate site.
+
     When every finite cost is an integer and twice the sentinel
     ``(M + 1) * max_cost`` fits in int16 (else int32), the closure runs in
     that dtype with ``inf`` as the sentinel, and is cast back to float64
@@ -109,11 +112,16 @@ def floyd_warshall(
         dist = mat.copy()
         nxt = np.where(np.isfinite(dist), np.arange(n)[None, :], -1)
         np.fill_diagonal(nxt, np.arange(n))
+        via = np.empty_like(dist)
+        better = np.empty(dist.shape, dtype=bool)
+        hop = np.empty(n, dtype=nxt.dtype)
         for k in range(n):
-            via = dist[:, k, None] + dist[None, k, :]
-            better = via < dist
-            dist = np.where(better, via, dist)
-            nxt = np.where(better, nxt[:, k, None], nxt)
+            np.add(dist[:, k, None], dist[None, k, :], out=via)
+            np.less(via, dist, out=better)
+            np.copyto(dist, via, where=better)
+            # column k may itself be updated below, so read it first
+            np.copyto(hop, nxt[:, k])
+            np.copyto(nxt, hop[:, None], where=better)
         return dist, nxt  # type: ignore[return-value]
     plan = _exact_int_plan(mat)
     if plan is None:

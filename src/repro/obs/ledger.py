@@ -201,8 +201,25 @@ def read_ledger(path: str) -> List[Entry]:
                 f"{path}:{lineno}: expected a JSON object, "
                 f"got {type(entry).__name__}"
             )
+        _check_entry(entry, f"{path}:{lineno}")
         entries.append(entry)
     return entries
+
+
+def _check_entry(entry: Entry, where: str) -> None:
+    """The keys :func:`explain_entries` sorts, groups and filters on must
+    hold what :meth:`PlacementLedger.record` writes there."""
+    if entry.get("action") not in ACTIONS:
+        raise ValidationError(
+            f"{where}: ledger action must be one of {ACTIONS}, "
+            f"got {entry.get('action')!r}"
+        )
+    for key in ("seq", "obj", "site"):
+        value = entry.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(
+                f"{where}: ledger {key!r} must be an integer, got {value!r}"
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -237,11 +254,13 @@ def explain_entries(
     ]
     merged = sorted(chain + faults, key=lambda e: e.get("seq", 0))
     if at is not None:
-        def _when(entry: Entry) -> Optional[float]:
+        def _when(entry: Entry) -> "Optional[int | float]":
             for key in ("epoch", "time"):
                 value = entry.get(key)
                 if isinstance(value, (int, float)):
-                    return float(value)
+                    # not float(value): an int past the float range
+                    # still compares with ``at``
+                    return value
             return None
 
         merged = [e for e in merged if (_when(e) is None or _when(e) <= at)]

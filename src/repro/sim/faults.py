@@ -143,9 +143,10 @@ class MessageFaultSpec:
                 raise FaultPlanError(
                     f"message {name} probability must lie in [0, 1], got {value}"
                 )
-        if self.delay_mean < 0.0:
+        # written as a negation so NaN is rejected too
+        if not 0.0 <= self.delay_mean < np.inf:
             raise FaultPlanError(
-                f"delay_mean must be >= 0, got {self.delay_mean}"
+                f"delay_mean must be finite and >= 0, got {self.delay_mean}"
             )
 
     @property
@@ -196,6 +197,8 @@ class FaultPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise FaultPlanError(f"plan seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "degradations", tuple(self.degradations))
         object.__setattr__(self, "partitions", tuple(self.partitions))
@@ -310,48 +313,45 @@ class FaultPlan:
                 f"unknown fault-plan keys: {sorted(unknown)} "
                 f"(expected a subset of {sorted(known)})"
             )
-        try:
-            crashes = tuple(
-                CrashWindow(
-                    site=int(w["site"]),
-                    start=float(w.get("start", 0.0)),
-                    end=None if w.get("end") is None else float(w["end"]),
-                )
-                for w in data.get("crashes", [])
+        crashes = tuple(
+            CrashWindow(
+                site=_plan_int(w, "site", "crash"),
+                start=_plan_float(w, "start", "crash", default=0.0),
+                end=_plan_float(w, "end", "crash", default=None),
             )
-            degradations = tuple(
-                LinkDegradation(
-                    src=int(d["src"]),
-                    dst=int(d["dst"]),
-                    factor=float(d["factor"]),
-                    start=float(d.get("start", 0.0)),
-                    end=None if d.get("end") is None else float(d["end"]),
-                    symmetric=bool(d.get("symmetric", True)),
-                )
-                for d in data.get("degradations", [])
+            for w in _plan_windows(data, "crashes")
+        )
+        degradations = tuple(
+            LinkDegradation(
+                src=_plan_int(d, "src", "degradation"),
+                dst=_plan_int(d, "dst", "degradation"),
+                factor=_plan_float(d, "factor", "degradation"),
+                start=_plan_float(d, "start", "degradation", default=0.0),
+                end=_plan_float(d, "end", "degradation", default=None),
+                symmetric=_plan_bool(d, "symmetric", "degradation"),
             )
-            partitions = tuple(
-                PartitionWindow(
-                    group=tuple(int(s) for s in p["group"]),
-                    start=float(p.get("start", 0.0)),
-                    end=None if p.get("end") is None else float(p["end"]),
-                )
-                for p in data.get("partitions", [])
+            for d in _plan_windows(data, "degradations")
+        )
+        partitions = tuple(
+            PartitionWindow(
+                group=_plan_group(p),
+                start=_plan_float(p, "start", "partition", default=0.0),
+                end=_plan_float(p, "end", "partition", default=None),
             )
-            spec = data.get("messages", {}) or {}
-            messages = MessageFaultSpec(
-                loss=float(spec.get("loss", 0.0)),
-                duplicate=float(spec.get("duplicate", 0.0)),
-                delay_mean=float(spec.get("delay_mean", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FaultPlanError(f"malformed fault plan: {exc}") from None
+            for p in _plan_windows(data, "partitions")
+        )
+        spec = _plan_entry(data.get("messages", {}), "messages")
+        messages = MessageFaultSpec(
+            loss=_plan_float(spec, "loss", "messages", default=0.0),
+            duplicate=_plan_float(spec, "duplicate", "messages", default=0.0),
+            delay_mean=_plan_float(spec, "delay_mean", "messages", default=0.0),
+        )
         return cls(
             crashes=crashes,
             degradations=degradations,
             partitions=partitions,
             messages=messages,
-            seed=int(data.get("seed", 0)),
+            seed=_plan_int(data, "seed", "fault plan", default=0),
         )
 
     def save(self, path: str) -> str:
@@ -362,6 +362,99 @@ class FaultPlan:
             json.dump(self.to_dict(), fp, indent=2, allow_nan=False)
             fp.write("\n")
         return path
+
+
+# --------------------------------------------------------------------- #
+# strict field readers for FaultPlan.from_dict: a value loads exactly as
+# written or raises FaultPlanError (no truncated fractions, no truthy
+# strings, no OverflowError from an int past the float range)
+# --------------------------------------------------------------------- #
+_MISSING = object()
+
+
+def _malformed(message: str) -> FaultPlanError:
+    return FaultPlanError(f"malformed fault plan: {message}")
+
+
+def _plan_value(holder: Dict[str, object], key: str, where: str, default):
+    value = holder.get(key, default)
+    if value is _MISSING:
+        raise _malformed(f"{where} window has no {key!r} field")
+    return value
+
+
+def _as_int(value: object, what: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _malformed(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _plan_int(holder, key: str, where: str, default=_MISSING) -> int:
+    return _as_int(_plan_value(holder, key, where, default), f"{where} {key}")
+
+
+def _plan_float(holder, key: str, where: str, default=_MISSING):
+    value = _plan_value(holder, key, where, default)
+    if value is None and default is None:
+        return None
+    if key == "factor" and value == "inf":
+        return float("inf")  # the severed-link sentinel of to_dict
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _malformed(f"{where} {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise _malformed(
+            f"{where} {key} {value} is outside the float range"
+        ) from None
+
+
+def _plan_bool(holder, key: str, where: str) -> bool:
+    value = holder.get(key, True)
+    if not isinstance(value, bool):
+        raise _malformed(f"{where} {key} must be true or false, got {value!r}")
+    return value
+
+
+#: the fields each kind of plan entry may carry
+_PLAN_FIELDS = {
+    "crashes": {"site", "start", "end"},
+    "degradations": {"src", "dst", "factor", "start", "end", "symmetric"},
+    "partitions": {"group", "start", "end"},
+    "messages": {"loss", "duplicate", "delay_mean"},
+}
+
+
+def _plan_entry(entry: object, key: str) -> Dict[str, object]:
+    if not isinstance(entry, dict):
+        raise _malformed(
+            f"{key!r} entries must be JSON objects, "
+            f"got {type(entry).__name__}"
+        )
+    unknown = set(entry) - _PLAN_FIELDS[key]
+    if unknown:
+        raise _malformed(
+            f"unknown fields in {key!r}: {sorted(unknown)}"
+        )
+    return entry
+
+
+def _plan_windows(data: Dict[str, object], key: str) -> List[Dict[str, object]]:
+    windows = data.get(key, [])
+    if not isinstance(windows, list):
+        raise _malformed(
+            f"{key!r} must be a list, got {type(windows).__name__}"
+        )
+    return [_plan_entry(window, key) for window in windows]
+
+
+def _plan_group(holder: Dict[str, object]) -> Tuple[int, ...]:
+    group = _plan_value(holder, "group", "partition", _MISSING)
+    if not isinstance(group, list):
+        raise _malformed(f"partition group must be a list, got {group!r}")
+    return tuple(_as_int(site, "partition site") for site in group)
 
 
 def load_fault_plan(path: str) -> FaultPlan:
@@ -539,6 +632,17 @@ class FaultInjector:
             self._cursor += 1
             applied += 1
         return applied
+
+    def next_time(self) -> float:
+        """Time of the next pending transition (``inf`` when exhausted).
+
+        Between two :meth:`advance_to` calls no fault state changes
+        before this time, which is what lets ``ReplicaSystem.replay``
+        price every request up to it as one segment.
+        """
+        if self._cursor >= len(self._transitions):
+            return float("inf")
+        return self._transitions[self._cursor].time
 
     def drain(self, system) -> int:
         """Apply every remaining transition (end-of-replay bookkeeping)."""

@@ -39,16 +39,25 @@ from repro.errors import SimulationError, ValidationError
 from repro.obs.ledger import current_ledger
 from repro.sim.engine import Simulator
 from repro.sim.metrics import (
+    CAUSES,
     MIGRATION,
     READ_FETCH,
     UPDATE_BROADCAST,
     WRITE_TO_PRIMARY,
     SimulationMetrics,
 )
-from repro.workload.trace import READ, Request
+from repro.workload.trace import READ, Request, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.faults import FaultInjector
+
+#: requests priced per array pass of :meth:`ReplicaSystem.replay`; bounds
+#: its scratch memory (folds chain across chunks, so any size is exact)
+REPLAY_CHUNK = 16_384
+
+_READ_FETCH = CAUSES.index(READ_FETCH)
+_WRITE_TO_PRIMARY = CAUSES.index(WRITE_TO_PRIMARY)
+_UPDATE_BROADCAST = CAUSES.index(UPDATE_BROADCAST)
 
 
 class ReplicaSystem:
@@ -390,7 +399,7 @@ class ReplicaSystem:
     # ------------------------------------------------------------------ #
     def replay(
         self,
-        trace: Iterable[Request],
+        trace: "Trace | Iterable[Request]",
         injector: "Optional[FaultInjector]" = None,
     ) -> SimulationMetrics:
         """Replay a whole trace immediately (no event scheduling).
@@ -398,18 +407,151 @@ class ReplicaSystem:
         With an ``injector``, fault transitions scheduled at or before
         each request's timestamp are applied first, and any remaining
         transitions are drained after the last request — so a replay
-        sees exactly the fault timeline a scheduled run would.  With
-        ``injector=None`` this is the original zero-overhead loop.
+        sees exactly the fault timeline a scheduled run would.
+
+        Under ``PRIMARY_BROADCAST`` the trace is priced in segments:
+        between two fault transitions nothing a request reads changes,
+        so each segment is one table lookup and one ordered fold per
+        accumulator, bit-identical to :meth:`handle_request` per
+        request.  The other strategies read and write per-replica
+        freshness on every request and keep the per-request loop.
+        ``trace`` may be a :class:`~repro.workload.trace.Trace` or any
+        iterable of :class:`~repro.workload.trace.Request`.
         """
-        if injector is None:
+        if self.write_strategy is not WriteStrategy.PRIMARY_BROADCAST:
             for request in trace:
+                if injector is not None:
+                    injector.advance_to(request.time, self)
                 self.handle_request(request)
+            if injector is not None:
+                injector.drain(self)
             return self.metrics
-        for request in trace:
-            injector.advance_to(request.time, self)
-            self.handle_request(request)
-        injector.drain(self)
+        trace = Trace.from_requests(trace)
+        self._check_trace(trace)
+        # A request first applies every transition due at or before its
+        # time, so a segment ends at the first request whose running
+        # maximum time reaches the next transition (sorted or not).
+        horizon = np.maximum.accumulate(trace.time)
+        start = 0
+        while start < len(trace):
+            stop = len(trace)
+            if injector is not None:
+                injector.advance_to(float(trace.time[start]), self)
+                stop = int(
+                    np.searchsorted(horizon, injector.next_time(), "left")
+                )
+            tables = _SegmentTables(self)
+            for low in range(start, stop, REPLAY_CHUNK):
+                self._replay_chunk(
+                    trace, low, min(low + REPLAY_CHUNK, stop), tables
+                )
+            start = stop
+        if injector is not None:
+            injector.drain(self)
         return self.metrics
+
+    def _check_trace(self, trace: Trace) -> None:
+        m, n = self.instance.num_sites, self.instance.num_objects
+        for column, bound, what in (
+            (trace.site, m, "site"), (trace.obj, n, "object"),
+        ):
+            if len(column) and not (
+                0 <= int(column.min()) and int(column.max()) < bound
+            ):
+                raise ValidationError(
+                    f"trace {what} indices must lie in [0, {bound})"
+                )
+
+    def _replay_chunk(
+        self, trace: Trace, low: int, high: int, tables: "_SegmentTables"
+    ) -> None:
+        """Price requests ``low:high`` of one segment, in trace order.
+
+        Each request contributes, in order: its read fetch, or its
+        write-to-primary leg followed by its broadcast legs in ascending
+        replicator order.  Those transfers are laid out in that order and
+        folded by :meth:`SimulationMetrics.record_transfers`.
+        """
+        metrics = self.metrics
+        site = trace.site[low:high]
+        obj = trace.obj[low:high]
+        write = trace.write[low:high]
+        read = ~write
+        served_read = read & tables.alive[site]
+        local = served_read & tables.holds[site, obj]
+        fetch = served_read & ~local & tables.has_source[site, obj]
+        accepted = write & ~tables.write_blocked[site, obj]
+
+        # broadcast legs of every accepted write, minus the writer itself
+        w_rows = np.flatnonzero(accepted)
+        w_site, w_obj = site[w_rows], obj[w_rows]
+        first = tables.leg_ptr[w_obj]
+        lengths = tables.leg_ptr[w_obj + 1] - first
+        owner = np.repeat(np.arange(len(w_rows)), lengths)
+        leg = (
+            np.arange(len(owner))
+            - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            + np.repeat(first, lengths)
+        )
+        keep = tables.leg_site[leg] != w_site[owner]
+        owner, leg = owner[keep], leg[keep]
+        legs_per_write = np.bincount(owner, minlength=len(w_rows))
+
+        # transfer slots: one main transfer per fetch or accepted write,
+        # then that write's legs
+        per_request = (fetch | accepted).astype(np.int64)
+        per_request[w_rows] += legs_per_write
+        offsets = np.cumsum(per_request) - per_request
+        total = int(per_request.sum())
+        causes = np.empty(total, dtype=np.intp)
+        sites = np.empty(total, dtype=np.intp)
+        objs = np.empty(total, dtype=np.intp)
+        ntc = np.empty(total)
+
+        f_rows = np.flatnonzero(fetch)
+        f_site, f_obj = site[f_rows], obj[f_rows]
+        slots = offsets[f_rows]
+        causes[slots] = _READ_FETCH
+        sites[slots] = f_site
+        objs[slots] = f_obj
+        ntc[slots] = tables.sizes[f_obj] * tables.nearest_cost[f_site, f_obj]
+
+        write_size = self._uf * tables.sizes[w_obj]
+        slots = offsets[w_rows]
+        causes[slots] = _WRITE_TO_PRIMARY
+        sites[slots] = w_site
+        objs[slots] = w_obj
+        ntc[slots] = write_size * tables.primary_cost[w_site, w_obj]
+
+        rank = np.arange(len(owner)) - np.repeat(
+            np.cumsum(legs_per_write) - legs_per_write, legs_per_write
+        )
+        slots = offsets[w_rows][owner] + 1 + rank
+        causes[slots] = _UPDATE_BROADCAST
+        sites[slots] = tables.leg_site[leg]
+        objs[slots] = w_obj[owner]
+        ntc[slots] = write_size[owner] * tables.leg_cost[leg]
+
+        latency = metrics.record_transfers(causes, sites, objs, ntc)
+
+        r_rows = np.flatnonzero(local | fetch)
+        read_latency = np.full(len(r_rows), metrics.base_latency)
+        fetched = fetch[r_rows]
+        read_latency[fetched] = 0.0 + latency[offsets[r_rows[fetched]]]
+        n_reads = int(np.count_nonzero(read))
+        metrics.local_reads += int(np.count_nonzero(local))
+        metrics.rejected_reads += n_reads - len(r_rows)
+        metrics.rejected_writes += len(write) - n_reads - len(w_rows)
+        metrics.read_latencies.record_many(read_latency)
+        metrics.write_latencies.record_many(latency[offsets[w_rows]])
+
+        if tables.missed is not None and len(w_rows):
+            # a leg the primary cannot reach misses the update
+            m, n = tables.holds.shape
+            by_obj = np.bincount(w_obj, minlength=n)
+            by_cell = np.bincount(w_site * n + w_obj, minlength=m * n)
+            others = by_obj[None, :] - by_cell.reshape(m, n)
+            self._valid[tables.missed & (others > 0)] = False
 
     def attach(self, simulator: Simulator, trace: Iterable[Request]) -> None:
         """Schedule every request of ``trace`` onto ``simulator``."""
@@ -533,6 +675,61 @@ class ReplicaSystem:
                 "target scheme's instance has a different network or "
                 "storage layout"
             )
+
+
+class _SegmentTables:
+    """What every request of one fault segment reads, as M x N tables.
+
+    Built from the system's state at the start of a segment: which sites
+    are alive, the effective costs and reachability, and the scheme.
+    ``nearest_cost[i, k]`` is the unit cost from ``i`` to its nearest
+    alive, reachable replicator of ``k``, the first of equal minima in
+    ascending site order, as :meth:`ReplicaSystem._alive_nearest` picks
+    it; ``has_source[i, k]`` is false when there is none.  The
+    broadcast legs of object ``k`` are ``leg_site[leg_ptr[k]:leg_ptr[k+1]]``:
+    its alive replicators other than the primary that the primary can
+    reach, ascending.  ``missed`` marks the alive replicators it cannot
+    reach (``None`` without link faults).
+    """
+
+    def __init__(self, system: ReplicaSystem) -> None:
+        instance = system.instance
+        m, n = instance.num_sites, instance.num_objects
+        cost = system.effective_cost
+        primaries = np.asarray(instance.primaries, dtype=np.intp)
+        self.sizes = np.asarray(instance.sizes, dtype=np.float64)
+        self.holds = system.scheme.matrix
+        self.alive = np.ones(m, dtype=bool)
+        self.alive[sorted(system.failed_sites)] = False
+        unreachable = system._unreachable
+        reach = (
+            np.ones((m, m), dtype=bool) if unreachable is None
+            else ~unreachable
+        )
+        np.fill_diagonal(reach, True)  # a site always reaches itself
+
+        live = self.holds & self.alive[:, None]
+        self.has_source = np.empty((m, n), dtype=bool)
+        self.nearest_cost = np.empty((m, n))
+        for i in range(m):
+            candidate = live & reach[i][:, None]
+            masked = np.where(candidate, cost[i][:, None], np.inf)
+            self.has_source[i] = candidate.any(axis=0)
+            self.nearest_cost[i] = cost[i][np.argmin(masked, axis=0)]
+
+        self.write_blocked = (
+            ~self.alive[:, None]
+            | ~self.alive[primaries][None, :]
+            | ~reach[:, primaries]
+        )
+        self.primary_cost = cost[:, primaries]
+        legs = live & (np.arange(m)[:, None] != primaries[None, :])
+        from_primary = reach[primaries, :].T
+        send = legs & from_primary
+        self.missed = None if unreachable is None else legs & ~from_primary
+        leg_obj, self.leg_site = np.nonzero(send.T)
+        self.leg_ptr = np.concatenate(([0], np.cumsum(send.sum(axis=0))))
+        self.leg_cost = cost[primaries[leg_obj], self.leg_site]
 
 
 __all__ = ["ReplicaSystem"]

@@ -165,6 +165,52 @@ class Histogram:
                 memo[value] = idx
         self._buckets[idx] = self._buckets.get(idx, 0) + count
 
+    def record_many(self, values) -> None:
+        """Add every value of ``values``, in order, as :meth:`record` would.
+
+        The result is bit-identical to a :meth:`record` loop: ``total``
+        is the same left fold (``np.add.accumulate``; ``np.sum`` is
+        pairwise and would differ in the last bits), ``min``/``max``
+        keep the first of equal extremes, bucket indices come from the
+        scalar :meth:`_index`, and new buckets are inserted in order of
+        first occurrence (``to_dict`` serialises that order).  A
+        non-finite value raises :class:`ValueError` before any state
+        changes.
+        """
+        import numpy as np  # kept off the module path of every CLI start
+
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if not len(values):
+            return
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = float(values[np.argmin(finite)])
+            raise ValueError(f"histogram values must be finite, got {bad}")
+        self.count += len(values)
+        self.total = float(
+            np.add.accumulate(np.concatenate(([self.total], values)))[-1]
+        )
+        low = float(values[np.argmin(values)])
+        high = float(values[np.argmax(values)])
+        if low < self.min:
+            self.min = low
+        if high > self.max:
+            self.max = high
+        positive = values > self.MIN_BOUND
+        self.zero_count += len(values) - int(np.count_nonzero(positive))
+        distinct, first, counts = np.unique(
+            values[positive], return_index=True, return_counts=True
+        )
+        memo, buckets = self._memo, self._buckets
+        for slot in np.argsort(first, kind="stable").tolist():
+            value = float(distinct[slot])
+            idx = memo.get(value)
+            if idx is None:
+                idx = self._index(value)
+                if len(memo) < self._MEMO_LIMIT:
+                    memo[value] = idx
+            buckets[idx] = buckets.get(idx, 0) + int(counts[slot])
+
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 

@@ -9,6 +9,7 @@ from repro.errors import TopologyError, ValidationError
 from repro.network.generators import (
     random_mesh_topology,
     random_tree_topology,
+    ring_topology,
     waxman_topology,
 )
 from repro.network.shortest_paths import (
@@ -256,3 +257,53 @@ def test_negative_zero_diagonal_stays_on_the_float_path():
     adj[1, 1] = -0.0
     assert _exact_int_plan(adj) is None
     assert_bit_identical(adj)
+
+
+def _reference_successors(adjacency):
+    """The allocating successor loop the in-place one replaced."""
+    dist = np.asarray(adjacency, dtype=float).copy()
+    n = dist.shape[0]
+    nxt = np.where(np.isfinite(dist), np.arange(n)[None, :], -1)
+    np.fill_diagonal(nxt, np.arange(n))
+    for k in range(n):
+        via = dist[:, k, None] + dist[None, k, :]
+        better = via < dist
+        dist = np.where(better, via, dist)
+        nxt = np.where(better, nxt[:, k, None], nxt)
+    return dist, nxt
+
+
+def _disconnected_adjacency():
+    adj = np.full((6, 6), np.inf)
+    np.fill_diagonal(adj, 0.0)
+    for i, j, c in ((0, 1, 1.5), (1, 2, 0.25), (3, 4, 2.0), (4, 5, 3.0)):
+        adj[i, j] = adj[j, i] = c
+    return adj
+
+
+@pytest.mark.parametrize(
+    "adjacency",
+    [
+        random_tree_topology(17, rng=3).adjacency_matrix(),
+        ring_topology(9, cost=1.0).adjacency_matrix(),
+        waxman_topology(25, alpha=0.4, beta=0.3, rng=4).adjacency_matrix(),
+        _disconnected_adjacency(),
+    ],
+    ids=["tree", "ring", "waxman", "disconnected"],
+)
+def test_in_place_successors_match_reference(adjacency):
+    dist, nxt = floyd_warshall(adjacency, return_successors=True)
+    ref_dist, ref_nxt = _reference_successors(adjacency)
+    assert dist.tobytes() == ref_dist.tobytes()
+    assert nxt.dtype == ref_nxt.dtype
+    assert np.array_equal(nxt, ref_nxt)
+    n = dist.shape[0]
+    for source in range(n):
+        for target in range(n):
+            if ref_nxt[source, target] < 0:
+                with pytest.raises(TopologyError):
+                    reconstruct_path(nxt, source, target)
+            else:
+                assert reconstruct_path(nxt, source, target) == (
+                    reconstruct_path(ref_nxt, source, target)
+                )

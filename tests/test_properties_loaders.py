@@ -1,16 +1,19 @@
-"""Loader fuzzing: a corrupted instance or scheme file is a typed error.
+"""Loader fuzzing: a corrupted input file is a typed error.
 
-Each example saves a small instance (or a scheme with its instance),
-overwrites one field of the file — whole, or one element of it — with a
-huge int, +-inf, NaN, a fraction, a ragged list, a value of the wrong type
-or null, and loads it back.  The load must either raise a
-:class:`~repro.errors.ReproError` or return exactly the values the file
-holds: any other exception, or a value silently altered on the way in
-(a fractional primary truncated to an int), fails.
+Each example saves a small instance (or a scheme with its instance, a
+fault plan, a placement ledger), overwrites one field of the file —
+whole, or one element of it — with a huge int, +-inf, NaN, a fraction, a
+ragged list, a value of the wrong type or null, and loads it back.  The
+load must either raise a :class:`~repro.errors.ReproError` or return
+exactly the values the file holds: any other exception, or a value
+silently altered on the way in (a fractional primary truncated to an
+int), fails.  A ledger that loads must also render under ``repro
+explain``.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import tempfile
@@ -19,9 +22,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import main
 from repro.core import ReplicationScheme
 from repro.errors import ReproError
 from repro.io import load_instance, load_scheme, save_instance, save_scheme
+from repro.obs.ledger import PlacementLedger, read_ledger, render_explanation
+from repro.sim.faults import (
+    CrashWindow,
+    FaultPlan,
+    LinkDegradation,
+    MessageFaultSpec,
+    PartitionWindow,
+    load_fault_plan,
+)
 from repro.workload import WorkloadSpec, generate_instance
 
 _INSTANCE_FIELDS = ("cost", "sizes", "capacities", "reads", "writes", "primaries")
@@ -103,3 +116,132 @@ def test_corrupted_field_is_rejected_or_loaded_exactly(
             _load_faithfully(kind, path, document)
         except ReproError:
             pass
+
+
+# --------------------------------------------------------------------- #
+# fault plans
+# --------------------------------------------------------------------- #
+SAMPLE_PLAN = FaultPlan(
+    crashes=(CrashWindow(1, 0.2, 0.7), CrashWindow(0, 0.1)),
+    degradations=(
+        LinkDegradation(0, 2, 4.0, 0.1, 0.9),
+        LinkDegradation(1, 3, math.inf, 0.3, 0.5, symmetric=False),
+    ),
+    partitions=(PartitionWindow((3, 4), 0.4, 0.6),),
+    messages=MessageFaultSpec(loss=0.1, duplicate=0.05, delay_mean=0.5),
+    seed=9,
+)
+
+#: (section, field): a field of one window, of ``messages``, or top-level
+PLAN_TARGETS = (
+    [("crashes", f) for f in ("site", "start", "end")]
+    + [("degradations", f) for f in (
+        "src", "dst", "factor", "start", "end", "symmetric"
+    )]
+    + [("partitions", f) for f in ("group", "start", "end")]
+    + [("messages", f) for f in ("loss", "duplicate", "delay_mean")]
+    + [(None, f) for f in (
+        "seed", "crashes", "degradations", "partitions", "messages"
+    )]
+)
+
+
+@st.composite
+def mutated_plans(draw, section, field):
+    """``SAMPLE_PLAN``'s document with one field corrupted."""
+    document = SAMPLE_PLAN.to_dict()
+    mutation = draw(st.sampled_from(MUTATIONS))
+    holder = document if section is None else document[section]
+    if isinstance(holder, list):
+        holder = holder[draw(st.integers(0, len(holder) - 1))]
+    key = field
+    while isinstance(holder[key], list) and draw(st.booleans()):
+        holder, key = holder[key], draw(st.integers(0, len(holder[key]) - 1))
+    holder[key] = _bad_value(draw, mutation, holder[key])
+    return document
+
+
+def _plan_values(document):
+    """A plan document with the severed-link sentinel read as ``inf``."""
+    document = json.loads(json.dumps(document))
+    for link in document.get("degradations", []):
+        if link.get("factor") == "inf":
+            link["factor"] = math.inf
+    return document
+
+
+@pytest.mark.parametrize(
+    "section, field", PLAN_TARGETS, ids=[f"{s}-{f}" for s, f in PLAN_TARGETS]
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_corrupted_fault_plan_is_rejected_or_loaded_exactly(section, field, data):
+    document = data.draw(mutated_plans(section, field))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plan.json"
+        path.write_text(json.dumps(document))
+        try:
+            plan = load_fault_plan(str(path))
+        except ReproError:
+            return
+    assert _plan_values(plan.to_dict()) == _plan_values(document)
+
+
+def test_bad_fault_plan_on_the_cli_is_a_clean_error(tmp_path, capsys):
+    instance = tmp_path / "instance.json"
+    scheme = tmp_path / "scheme.json"
+    save_instance(
+        generate_instance(WorkloadSpec(num_sites=4, num_objects=5), rng=3),
+        instance,
+    )
+    assert main([
+        "solve", str(instance), "--algorithm", "sra",
+        "--save-scheme", str(scheme),
+    ]) == 0
+    document = SAMPLE_PLAN.to_dict()
+    document["messages"] = ["not", "an", "object"]
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["simulate", str(scheme), "--faults", str(plan)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+# --------------------------------------------------------------------- #
+# ledgers
+# --------------------------------------------------------------------- #
+def _sample_ledger_entries():
+    """The entries of a small ledger, as its JSONL file holds them."""
+    ledger = PlacementLedger()
+    with ledger.scope(algorithm="agra", epoch=2, trigger="pattern-drift"):
+        ledger.record("add", obj=0, site=1, source=3, benefit=12.5)
+        ledger.record("defer", obj=0, site=2, reason="add-at-failed-site")
+    ledger.record("fault", site=1, fault="site_crash", time=0.25)
+    ledger.record("drop", obj=0, site=1)
+    buffer = io.StringIO()
+    ledger.write_jsonl(buffer)
+    return [json.loads(line) for line in buffer.getvalue().splitlines()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupted_ledger_is_rejected_or_loaded_exactly(data):
+    entries = _sample_ledger_entries()
+    entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+    key = data.draw(st.sampled_from(sorted(entry)))
+    mutation = data.draw(st.sampled_from(MUTATIONS))
+    entry[key] = _bad_value(data.draw, mutation, entry[key])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        try:
+            loaded = read_ledger(str(path))
+        except ReproError:
+            return
+    assert json.dumps(loaded) == json.dumps(entries)
+    # what loads, `repro explain` can render
+    for obj in (0, 1):
+        render_explanation(loaded, obj)
+        render_explanation(loaded, obj, site=1, at=5.0)

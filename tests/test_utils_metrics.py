@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.utils.metrics import (
     Histogram,
@@ -264,3 +266,61 @@ class TestHistogramEdgeCases:
             hist.percentile(-1.0)
         with pytest.raises(ValueError):
             hist.percentile(101.0)
+
+
+def _loop_and_bulk(prefix, values):
+    """The same histogram fed ``values`` by a ``record`` loop and in bulk."""
+    looped, bulk = Histogram(), Histogram()
+    for hist in (looped, bulk):
+        for value in prefix:
+            hist.record(value)
+    for value in values:
+        looped.record(value)
+    bulk.record_many(values)
+    return looped, bulk
+
+
+class TestRecordMany:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1e6, allow_nan=False), max_size=5),
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, 1e-9, 1e-10, 3.25, 0.1, 7.0]),
+            ),
+            max_size=300,
+        ),
+    )
+    def test_equals_record_loop(self, prefix, values):
+        looped, bulk = _loop_and_bulk(prefix, values)
+        assert bulk.to_dict() == looped.to_dict()
+        assert list(bulk.to_dict()["buckets"]) == list(
+            looped.to_dict()["buckets"]
+        )
+        assert bulk._memo == looped._memo
+
+    def test_total_is_a_left_fold(self):
+        # values whose pairwise sum differs from the left fold
+        values = np.random.default_rng(5).random(20_000) * 1e3
+        looped, bulk = _loop_and_bulk([0.1], values)
+        assert bulk.total == looped.total
+        assert bulk.total != 0.1 + float(np.sum(values))
+
+    def test_empty_is_a_no_op(self):
+        hist = Histogram()
+        hist.record(2.0)
+        before = hist.to_dict()
+        hist.record_many([])
+        assert hist.to_dict() == before
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_nonfinite_rejected_before_mutation(self, bad):
+        hist = Histogram()
+        hist.record(2.0)
+        before = hist.to_dict()
+        with pytest.raises(ValueError, match="finite"):
+            hist.record_many([1.0, bad, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            hist.record(bad)
+        assert hist.to_dict() == before
