@@ -21,6 +21,7 @@ Two corpus sources exist:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -135,25 +136,66 @@ class Scenario:
         return data
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Scenario":
+    def from_dict(cls, data: object) -> "Scenario":
+        """Inverse of :meth:`to_dict`; a missing or mistyped field is a
+        :class:`ValidationError` naming it, never a silent conversion."""
+        if not isinstance(data, dict):
+            raise ValidationError(
+                f"scenario must be a JSON object, got {type(data).__name__}"
+            )
+        tags = _scenario_field(data, "tags", list, [])
+        if not all(isinstance(tag, str) for tag in tags):
+            raise ValidationError(f"scenario tags must be strings, got {tags!r}")
         plan = data.get("fault_plan")
         return cls(
-            name=str(data["name"]),
-            seed=int(data["seed"]),
-            num_sites=int(data["num_sites"]),
-            num_objects=int(data["num_objects"]),
-            update_ratio=float(data.get("update_ratio", 0.05)),
-            capacity_ratio=float(data.get("capacity_ratio", 0.15)),
-            topology=str(data.get("topology", "paper")),
+            name=_scenario_field(data, "name", str),
+            seed=_scenario_field(data, "seed", int),
+            num_sites=_scenario_field(data, "num_sites", int),
+            num_objects=_scenario_field(data, "num_objects", int),
+            update_ratio=_scenario_ratio(data, "update_ratio", 0.05),
+            capacity_ratio=_scenario_ratio(data, "capacity_ratio", 0.15),
+            topology=_scenario_field(data, "topology", str, "paper"),
             fault_plan=(
                 FaultPlan.from_dict(plan) if plan is not None else None
             ),
-            tags=tuple(data.get("tags", ())),
+            tags=tuple(tags),
         )
 
     def with_overrides(self, **kwargs: object) -> "Scenario":
         """A copy with the given fields replaced (validation re-runs)."""
         return replace(self, **kwargs)  # type: ignore[arg-type]
+
+
+_REQUIRED = object()
+
+
+def _scenario_field(
+    data: Dict[str, object], key: str, kind: type, default=_REQUIRED
+):
+    value = data.get(key, default)
+    if value is _REQUIRED:
+        raise ValidationError(f"scenario has no {key!r} field")
+    # bool is an int subclass, but true is not a seed
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(
+            f"scenario field {key!r} must be a {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _scenario_ratio(data: Dict[str, object], key: str, default: float) -> float:
+    value = data.get(key, default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            number = math.inf
+        # an int that float() would round must not load as another number
+        if math.isfinite(number) and number == value:
+            return number
+    raise ValidationError(
+        f"scenario field {key!r} must be a finite number, got {value!r}"
+    )
 
 
 def _smoke_fault_plan(seed: int) -> FaultPlan:

@@ -303,7 +303,9 @@ def load_artifact(path: str) -> Dict[str, object]:
     """Load a shrink artifact; ``"instance"`` comes back as a DRPInstance.
 
     Raises :class:`ValidationError` on a missing file or a JSON payload
-    that is not a shrink artifact, with a message that says what to do.
+    that is not a shrink artifact (including one without its ``summary``
+    line or with a malformed ``instance`` or ``scenario``), with a
+    message that says what to do.
     """
     if not os.path.lexists(path):
         raise ValidationError(
@@ -325,6 +327,11 @@ def load_artifact(path: str) -> Dict[str, object]:
             f"(missing kind={ARTIFACT_KIND!r})"
         )
     data["instance"] = DRPInstance.from_dict(data.get("instance"))
+    if not isinstance(data.get("summary"), str):
+        raise ValidationError(
+            f"{path} is a damaged shrink artifact: no 'summary' string; "
+            f"re-run `repro conform shrink` to produce a fresh one"
+        )
     if "scenario" in data:
         data["scenario"] = Scenario.from_dict(data["scenario"])
     return data

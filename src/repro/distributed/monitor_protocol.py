@@ -28,8 +28,9 @@ import numpy as np
 
 from repro.core.problem import DRPInstance
 from repro.distributed.messages import Message, MessageKind, MessageLog
+from repro.distributed.node import elect_lowest_alive
 from repro.distributed.retry import DEFAULT_RETRY_POLICY, RAISE, RetryPolicy
-from repro.errors import RetryExhaustedError, ValidationError
+from repro.errors import ProtocolError, RetryExhaustedError, ValidationError
 from repro.sim.faults import FaultPlan, ProtocolFaults
 from repro.utils.telemetry import current_sink
 from repro.utils.tracing import current_tracer
@@ -57,7 +58,8 @@ class MonitorProtocol:
     The monitor keeps, per site, the last reported ``(reads, writes)``
     rows; incremental rounds ship only rows' entries whose value changed
     by more than ``threshold`` *relative* to the last report (absolute
-    change for counters previously zero).
+    change for counters previously zero).  ``fault_plan`` times are
+    round numbers; the default empty plan injects nothing.
     """
 
     def __init__(
@@ -65,7 +67,7 @@ class MonitorProtocol:
         instance: DRPInstance,
         monitor_site: int = 0,
         threshold: float = 0.0,
-        fault_plan: Optional[FaultPlan] = None,
+        fault_plan: FaultPlan = FaultPlan(),
         retry: RetryPolicy = DEFAULT_RETRY_POLICY,
     ) -> None:
         if not 0 <= monitor_site < instance.num_sites:
@@ -85,10 +87,7 @@ class MonitorProtocol:
         self._known_reads = np.zeros((m, n))
         self._known_writes = np.zeros((m, n))
         self._rounds = 0
-        # Degraded-mode state (times in the plan are round numbers).
-        self._faults = (
-            ProtocolFaults(fault_plan, m) if fault_plan is not None else None
-        )
+        self._faults = ProtocolFaults(fault_plan, m)
         self.retransmissions = 0
         self.elections = 0
 
@@ -112,8 +111,8 @@ class MonitorProtocol:
     ) -> CollectionRound:
         """Run one collection round against the observed counters.
 
-        With a fault plan active (its times read as round numbers):
-        crashed sites send nothing and are listed in the round's
+        Under the fault plan (its times read as round numbers): crashed
+        sites send nothing and are listed in the round's
         ``missing_sites``; lossy sends are retried (each retransmission
         re-ships its counters); a crashed monitor is deterministically
         replaced by the lowest-numbered alive site, whose view starts
@@ -142,10 +141,9 @@ class MonitorProtocol:
         with current_tracer().span(
             "monitor.round", round=round_index, mode=mode
         ) as round_span:
-            if faults is not None:
-                faults.advance_to(float(round_index))
-                if self.monitor_site in faults.crashed:
-                    self._elect_monitor(round_index)
+            faults.advance_to(float(round_index))
+            if self.monitor_site in faults.crashed:
+                self._elect_monitor(round_index)
 
             for site in range(m):
                 if mode == "full":
@@ -171,7 +169,7 @@ class MonitorProtocol:
                         read_mask, write_mask,
                     )
                     continue
-                if faults is not None and site in faults.crashed:
+                if site in faults.crashed:
                     missing.append(site)  # a down site reports nothing
                     continue
                 if shipped == 0 and mode == "incremental":
@@ -251,19 +249,8 @@ class MonitorProtocol:
 
     def _deliver(self, site: int, shipped: int) -> Tuple[bool, int]:
         """Send one report with retries; returns (delivered, attempts)."""
-        if self._faults is None:
-            self.log.record(
-                Message(
-                    sender=site,
-                    receiver=self.monitor_site,
-                    kind=MessageKind.STATS,
-                    size_units=float(shipped),
-                    payload=None,
-                )
-            )
-            return True, 1
         attempts = 0
-        for _ in self._attempt_slots():
+        for _ in self.retry.attempt_delays():
             attempts += 1
             # Judged before the log call (same RNG stream, same draw
             # order) so the trace can mark the send as lost.
@@ -288,9 +275,6 @@ class MonitorProtocol:
             raise RetryExhaustedError("STATS", self.monitor_site, attempts)
         return False, attempts
 
-    def _attempt_slots(self) -> List[float]:
-        return [0.0] + list(self.retry.delays())
-
     def _elect_monitor(self, round_index: int) -> None:
         """Replace a crashed monitor with the lowest-numbered alive site.
 
@@ -299,27 +283,12 @@ class MonitorProtocol:
         an election ship full rows again, exactly as a real take-over
         would force.
         """
-        from repro.errors import ProtocolError
-
-        faults = self._faults
-        assert faults is not None
-        alive = [
-            s
-            for s in range(self.instance.num_sites)
-            if s not in faults.crashed
-        ]
-        if not alive:
+        new_monitor = elect_lowest_alive(
+            self.log, self.instance.num_sites, self._faults.crashed
+        )
+        if new_monitor is None:
             raise ProtocolError("every site is down; cannot elect a monitor")
-        new_monitor = min(alive)
         self.elections += 1
-        for s in alive:
-            if s != new_monitor:
-                self.log.record(
-                    Message(
-                        new_monitor, s, MessageKind.ELECTION, 0.0,
-                        payload=new_monitor,
-                    )
-                )
         current_tracer().event(
             "protocol.monitor_election",
             new_monitor=new_monitor,

@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.incremental import eq5_benefit
 from repro.core.problem import DRPInstance
 from repro.core.scheme import CAPACITY_TOLERANCE
+from repro.distributed.messages import Message, MessageKind, MessageLog
 from repro.errors import ProtocolError
 
 
@@ -146,4 +147,25 @@ class LeaderNode:
         return not self.active
 
 
-__all__ = ["SiteNode", "LeaderNode"]
+def elect_lowest_alive(
+    log: MessageLog, num_sites: int, crashed: Set[int]
+) -> Optional[int]:
+    """Deterministic take-over by the lowest-numbered alive site.
+
+    Records one ``ELECTION`` message from the new site to every other
+    alive site and returns it; returns ``None`` (recording nothing) when
+    every site is down.  Election models an atomic procedure, so its
+    messages are not subject to message faults.
+    """
+    alive = [s for s in range(num_sites) if s not in crashed]
+    if not alive:
+        return None
+    elected = alive[0]
+    for s in alive[1:]:
+        log.record(
+            Message(elected, s, MessageKind.ELECTION, 0.0, payload=elected)
+        )
+    return elected
+
+
+__all__ = ["SiteNode", "LeaderNode", "elect_lowest_alive"]

@@ -11,7 +11,7 @@ identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, List
 
 from repro.errors import ValidationError
 
@@ -69,6 +69,11 @@ class RetryPolicy:
         for _ in range(self.max_attempts - 1):
             yield delay
             delay *= self.backoff_factor
+
+    def attempt_delays(self) -> List[float]:
+        """Delay before each attempt: ``0.0`` for the first send, then
+        :meth:`delays` (``max_attempts`` values in all)."""
+        return [0.0] + list(self.delays())
 
     def total_backoff(self) -> float:
         """Worst-case simulated delay spent retrying one operation."""

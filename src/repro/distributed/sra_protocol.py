@@ -20,8 +20,9 @@ message complexity the paper glosses over.
 
 Degraded operation
 ------------------
-With a :class:`~repro.sim.faults.FaultPlan` (transition times read as
-**round numbers**; round 0 is the STATS phase) the protocol hardens:
+Every run carries a :class:`~repro.sim.faults.FaultPlan` (transition
+times read as **round numbers**; round 0 is the STATS phase), and the
+protocol is hardened against it:
 
 * unreliable control sends (``STATS``, ``TOKEN``/``TOKEN_RETURN``) are
   retried under a :class:`~repro.distributed.retry.RetryPolicy` with
@@ -43,8 +44,11 @@ With a :class:`~repro.sim.faults.FaultPlan` (transition times read as
   ``OBJECT_TRANSFER`` payloads ride a reliable data-plane transport and
   are exempt from message faults.
 
-With ``fault_plan=None`` the original code path runs untouched and the
-message log is byte-identical to the pre-hardening protocol.
+The default plan is empty: no site crashes and no message is lost or
+duplicated, so every send succeeds on its first attempt.  The message
+log, scheme and ledger are then those of the reliable, pre-hardening
+protocol, and the trace is identical up to the zero-valued
+``retries``/``backoff``/``suspected`` span attributes.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ import numpy as np
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.distributed.messages import Message, MessageKind, MessageLog
-from repro.distributed.node import LeaderNode, SiteNode
+from repro.distributed.node import LeaderNode, SiteNode, elect_lowest_alive
 from repro.distributed.retry import DEFAULT_RETRY_POLICY, RAISE, RetryPolicy
 from repro.errors import ProtocolError, RetryExhaustedError, ValidationError
 from repro.obs.ledger import current_ledger
@@ -108,17 +112,17 @@ class DistributedSRA:
         at most ``M * N`` replications plus ``M * (N + 1)`` empty visits
         (crash/recovery cycles extend the bound accordingly).
     fault_plan:
-        Optional fault schedule; transition times are round numbers.
-        ``None`` (the default) runs the original, unhardened protocol.
+        Fault schedule; transition times are round numbers.  The default
+        empty plan injects nothing, so every send succeeds first time.
     retry:
-        Send-retry policy used only when a fault plan is active.
+        Send-retry policy for the unreliable control sends.
     """
 
     def __init__(
         self,
         leader_site: int = 0,
         max_rounds: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
+        fault_plan: FaultPlan = FaultPlan(),
         retry: RetryPolicy = DEFAULT_RETRY_POLICY,
     ):
         self.leader_site = leader_site
@@ -132,236 +136,24 @@ class DistributedSRA:
                 f"leader_site {self.leader_site} out of range "
                 f"[0, {instance.num_sites})"
             )
+        with current_ledger().scope(
+            algorithm="dsra", leader=self.leader_site
+        ):
+            return self._run(instance)
+
+    def _run(self, instance: DRPInstance) -> DistributedSRAReport:
         log = MessageLog(instance.cost)
         nodes = [
             SiteNode(site, instance) for site in range(instance.num_sites)
         ]
         leader = LeaderNode(self.leader_site, instance.num_sites)
-
         # Install primary copies (already in place before the algorithm).
         for obj in range(instance.num_objects):
             nodes[int(instance.primaries[obj])].host_primary(obj)
-
         write_totals = instance.writes.sum(axis=0).astype(float)
 
-        if self.fault_plan is not None:
-            with current_ledger().scope(
-                algorithm="dsra", leader=self.leader_site
-            ):
-                return self._run_hardened(
-                    instance, log, nodes, leader, write_totals
-                )
-
-        # ------------------------------------------------------------- #
-        # Fault-free path: the original protocol, byte for byte.
-        # ------------------------------------------------------------- #
-        tracer = current_tracer()
-        ledger = current_ledger()
-        # Phase 1: statistics distribution.
-        with ledger.scope(algorithm="dsra", leader=self.leader_site), \
-                tracer.span("dsra.stats", sites=instance.num_sites):
-            for node in nodes:
-                log.record(
-                    Message(
-                        sender=self.leader_site,
-                        receiver=node.site,
-                        kind=MessageKind.STATS,
-                        size_units=0.0,  # control traffic: cost ignored by D
-                        payload=None,
-                    )
-                )
-                node.receive_stats(write_totals)
-
-        # Phase 2: token rounds.
-        limit = self.max_rounds or (
-            instance.num_sites * (2 * instance.num_objects + 2)
-        )
-        rounds = 0
-        replications = 0
-        profiler = current_profiler()
-        while not leader.done:
-            rounds += 1
-            profiler.tick()
-            if rounds > limit:
-                raise ProtocolError(
-                    f"distributed SRA exceeded {limit} token rounds; "
-                    "protocol is not terminating"
-                )
-            site = leader.next_site()
-            assert site is not None
-            with ledger.scope(
-                algorithm="dsra", leader=self.leader_site, round=rounds
-            ), tracer.span("dsra.round", round=rounds, site=site):
-                log.record(
-                    Message(self.leader_site, site, MessageKind.TOKEN, 0.0)
-                )
-                node = nodes[site]
-                replicated = self._greedy_visit(
-                    instance, log, nodes, node, site
-                )
-                if replicated is not None:
-                    replications += 1
-                exhausted = node.exhausted
-                log.record(
-                    Message(
-                        site,
-                        self.leader_site,
-                        MessageKind.TOKEN_RETURN,
-                        0.0,
-                        payload=exhausted,
-                    )
-                )
-                if exhausted:
-                    leader.retire(site)
-                else:
-                    leader.advance()
-
-        return self._publish_report(
-            DistributedSRAReport(
-                scheme=self._collect_scheme(instance, nodes),
-                log=log,
-                token_rounds=rounds,
-                replications=replications,
-                leader_history=[self.leader_site],
-            )
-        )
-
-    # ------------------------------------------------------------------ #
-    # shared pieces
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _publish_report(
-        report: DistributedSRAReport,
-    ) -> DistributedSRAReport:
-        """Export the run's protocol counters to the telemetry sink.
-
-        A no-op (one enabled check) when no sink is installed, so the
-        protocol emulation itself stays cost-free to instrumentation.
-        """
-        sink = current_sink()
-        if sink.enabled:
-            sink.set_gauge("repro_dsra_token_rounds", report.token_rounds)
-            sink.set_gauge("repro_dsra_replications", report.replications)
-            sink.set_gauge("repro_dsra_elections", report.elections)
-            sink.set_gauge("repro_dsra_retries", report.retries)
-            sink.set_gauge("repro_dsra_duplicates", report.duplicates)
-            sink.set_gauge(
-                "repro_dsra_suspected_sites", len(report.suspected_sites)
-            )
-            sink.set_gauge(
-                "repro_dsra_control_cost", report.log.control_cost
-            )
-            sink.set_gauge("repro_dsra_data_cost", report.log.data_cost)
-            for kind, count in report.log.count_by_kind.items():
-                sink.set_gauge(
-                    "repro_dsra_messages", count, kind=kind.value
-                )
-        return report
-
-    def _greedy_visit(
-        self,
-        instance: DRPInstance,
-        log: MessageLog,
-        nodes: List[SiteNode],
-        node: SiteNode,
-        site: int,
-        crashed: Optional[Set[int]] = None,
-        faults: Optional[ProtocolFaults] = None,
-        history: Optional[List[Tuple[int, int]]] = None,
-    ) -> Optional[int]:
-        """One token visit: greedy step plus its data/announce traffic.
-
-        Returns the replicated object (or ``None``).  With ``crashed`` /
-        ``faults`` given, crashed peers are skipped and ``REPLICATE``
-        legs are best-effort (lossy, idempotent).
-        """
-        source = None
-        replicated = None
-        if not node.exhausted:
-            # Fetch source must be captured before the step updates SN.
-            snapshot_nearest = node.nearest.copy()
-            with current_tracer().span("dsra.greedy", site=site):
-                replicated = node.greedy_step()
-            if replicated is not None:
-                source = int(snapshot_nearest[replicated])
-        if replicated is None:
-            return None
-        if crashed is not None and source in crashed:
-            # The nearest known replica is down; pull from the object's
-            # primary instead (always a valid holder).
-            fallback = int(instance.primaries[replicated])
-            if fallback not in crashed:
-                source = fallback
-        # Data: pull the object payload from the chosen replica.  The
-        # data-plane transport is reliable; message faults do not apply.
-        log.record(
-            Message(
-                sender=source if source is not None else site,
-                receiver=site,
-                kind=MessageKind.OBJECT_TRANSFER,
-                size_units=float(instance.sizes[replicated]),
-                payload=replicated,
-            )
-        )
-        ledger = current_ledger()
-        if ledger.enabled:
-            ledger.record(
-                "add",
-                obj=replicated,
-                site=site,
-                source=source if source is not None else site,
-            )
-        if history is not None:
-            history.append((replicated, site))
-        # Control: announce the new replica to every other site.
-        for other in nodes:
-            if other.site == site:
-                continue
-            if crashed is not None and other.site in crashed:
-                continue  # resynchronised from history on recovery
-            lost = False
-            if faults is not None and other.site != site:
-                lost, dup, _ = faults.messages.judge()
-                if dup:
-                    self._duplicates += 1  # observe_replication is a min
-            log.record(
-                Message(
-                    site, other.site, MessageKind.REPLICATE, 0.0,
-                    payload=(replicated, site),
-                ),
-                lost=lost,
-            )
-            if lost:
-                continue  # best-effort gossip: peer's SN goes stale
-            other.observe_replication(replicated, site)
-        return replicated
-
-    @staticmethod
-    def _collect_scheme(
-        instance: DRPInstance, nodes: List[SiteNode]
-    ) -> ReplicationScheme:
-        matrix = np.zeros(
-            (instance.num_sites, instance.num_objects), dtype=bool
-        )
-        for node in nodes:
-            for obj in node.replicas:
-                matrix[node.site, obj] = True
-        return ReplicationScheme.from_matrix(instance, matrix)
-
-    # ------------------------------------------------------------------ #
-    # hardened path (fault plan active)
-    # ------------------------------------------------------------------ #
-    def _run_hardened(
-        self,
-        instance: DRPInstance,
-        log: MessageLog,
-        nodes: List[SiteNode],
-        leader: LeaderNode,
-        write_totals: np.ndarray,
-    ) -> DistributedSRAReport:
         tracer = current_tracer()
         faults = ProtocolFaults(self.fault_plan, instance.num_sites)
-        policy = self.retry
         self._duplicates = 0
         self._retries = 0
         self._backoff = 0.0
@@ -398,28 +190,14 @@ class DistributedSRA:
                 if not node.exhausted and site not in leader.active:
                     leader.active.append(site)
             if leader.site in faults.crashed:
-                alive = [
-                    s
-                    for s in range(instance.num_sites)
-                    if s not in faults.crashed
-                ]
-                if not alive:
+                new_leader = elect_lowest_alive(
+                    log, instance.num_sites, faults.crashed
+                )
+                if new_leader is None:
                     raise ProtocolError(
                         "every site is down; cannot elect a leader"
                     )
-                new_leader = min(alive)
                 elections += 1
-                for s in alive:
-                    if s != new_leader:
-                        log.record(
-                            Message(
-                                new_leader,
-                                s,
-                                MessageKind.ELECTION,
-                                0.0,
-                                payload=new_leader,
-                            )
-                        )
                 leader.active = [
                     s for s in leader.active if s not in faults.crashed
                 ]
@@ -443,7 +221,7 @@ class DistributedSRA:
                     node.receive_stats(write_totals)
                     continue
                 if self._send_with_retry(
-                    log, faults, policy, leader.site, node.site,
+                    log, faults, leader.site, node.site,
                     MessageKind.STATS, "STATS",
                 ):
                     node.receive_stats(write_totals)
@@ -479,8 +257,7 @@ class DistributedSRA:
                 "dsra.round", round=rounds, site=site
             ) as round_span:
                 outcome = self._token_round(
-                    instance, log, nodes, faults, policy, leader, node,
-                    history,
+                    instance, log, nodes, faults, leader, node, history
                 )
                 round_span.set(
                     retries=self._retries - retries_before,
@@ -513,6 +290,113 @@ class DistributedSRA:
             )
         )
 
+    @staticmethod
+    def _publish_report(
+        report: DistributedSRAReport,
+    ) -> DistributedSRAReport:
+        """Export the run's protocol counters to the telemetry sink.
+
+        A no-op (one enabled check) when no sink is installed, so the
+        protocol emulation itself stays cost-free to instrumentation.
+        """
+        sink = current_sink()
+        if sink.enabled:
+            sink.set_gauge("repro_dsra_token_rounds", report.token_rounds)
+            sink.set_gauge("repro_dsra_replications", report.replications)
+            sink.set_gauge("repro_dsra_elections", report.elections)
+            sink.set_gauge("repro_dsra_retries", report.retries)
+            sink.set_gauge("repro_dsra_duplicates", report.duplicates)
+            sink.set_gauge(
+                "repro_dsra_suspected_sites", len(report.suspected_sites)
+            )
+            sink.set_gauge(
+                "repro_dsra_control_cost", report.log.control_cost
+            )
+            sink.set_gauge("repro_dsra_data_cost", report.log.data_cost)
+            for kind, count in report.log.count_by_kind.items():
+                sink.set_gauge(
+                    "repro_dsra_messages", count, kind=kind.value
+                )
+        return report
+
+    def _greedy_visit(
+        self,
+        instance: DRPInstance,
+        log: MessageLog,
+        nodes: List[SiteNode],
+        node: SiteNode,
+        faults: ProtocolFaults,
+        history: List[Tuple[int, int]],
+    ) -> Optional[int]:
+        """One token visit: greedy step plus its data/announce traffic.
+
+        Returns the replicated object (or ``None``).  Crashed peers are
+        skipped and ``REPLICATE`` legs are best-effort (lossy,
+        idempotent); each replication is appended to ``history``.
+        """
+        if node.exhausted:
+            return None
+        site = node.site
+        # Fetch source must be captured before the step updates SN.
+        snapshot_nearest = node.nearest.copy()
+        with current_tracer().span("dsra.greedy", site=site):
+            replicated = node.greedy_step()
+        if replicated is None:
+            return None
+        source = int(snapshot_nearest[replicated])
+        crashed = faults.crashed
+        if source in crashed:
+            # The nearest known replica is down; pull from the object's
+            # primary instead (always a valid holder).
+            fallback = int(instance.primaries[replicated])
+            if fallback not in crashed:
+                source = fallback
+        # Data: pull the object payload from the chosen replica.  The
+        # data-plane transport is reliable; message faults do not apply.
+        log.record(
+            Message(
+                sender=source,
+                receiver=site,
+                kind=MessageKind.OBJECT_TRANSFER,
+                size_units=float(instance.sizes[replicated]),
+                payload=replicated,
+            )
+        )
+        ledger = current_ledger()
+        if ledger.enabled:
+            ledger.record("add", obj=replicated, site=site, source=source)
+        history.append((replicated, site))
+        # Control: announce the new replica to every other site.
+        judge = faults.messages.judge
+        announce = (replicated, site)
+        for other in nodes:
+            peer = other.site
+            if peer == site or peer in crashed:
+                continue  # a crashed peer resyncs from history on recovery
+            lost, dup, _ = judge()
+            if dup:
+                self._duplicates += 1  # observe_replication is a min
+            log.record(
+                Message(site, peer, MessageKind.REPLICATE, 0.0, announce),
+                lost=lost,
+            )
+            if lost:
+                continue  # best-effort gossip: peer's SN goes stale
+            other.observe_replication(replicated, site)
+        return replicated
+
+    @staticmethod
+    def _collect_scheme(
+        instance: DRPInstance, nodes: List[SiteNode]
+    ) -> ReplicationScheme:
+        matrix = np.zeros(
+            (instance.num_sites, instance.num_objects), dtype=bool
+        )
+        for node in nodes:
+            for obj in node.replicas:
+                matrix[node.site, obj] = True
+        return ReplicationScheme.from_matrix(instance, matrix)
+
     def _suspect(
         self,
         leader: LeaderNode,
@@ -530,7 +414,6 @@ class DistributedSRA:
         self,
         log: MessageLog,
         faults: ProtocolFaults,
-        policy: RetryPolicy,
         sender: int,
         receiver: int,
         kind: MessageKind,
@@ -543,7 +426,7 @@ class DistributedSRA:
         False (``suspect``) or raises :class:`RetryExhaustedError`.
         """
         attempts = 0
-        for delay in self._attempt_delays(policy):
+        for delay in self.retry.attempt_delays():
             attempts += 1
             self._backoff += delay
             if attempts > 1:
@@ -559,13 +442,9 @@ class DistributedSRA:
             )
             if delivered:
                 return True
-        if policy.on_exhaust == RAISE:
+        if self.retry.on_exhaust == RAISE:
             raise RetryExhaustedError(operation, receiver, attempts)
         return False
-
-    @staticmethod
-    def _attempt_delays(policy: RetryPolicy) -> List[float]:
-        return [0.0] + list(policy.delays())
 
     def _token_round(
         self,
@@ -573,12 +452,11 @@ class DistributedSRA:
         log: MessageLog,
         nodes: List[SiteNode],
         faults: ProtocolFaults,
-        policy: RetryPolicy,
         leader: LeaderNode,
         node: SiteNode,
         history: List[Tuple[int, int]],
     ) -> Optional[Tuple[Optional[int], bool]]:
-        """One hardened token round against ``node``.
+        """One token round against ``node``.
 
         Returns ``(replicated, exhausted)`` on success, or ``None`` when
         every attempt failed and the policy says ``suspect``.  The
@@ -590,7 +468,7 @@ class DistributedSRA:
         replicated: Optional[int] = None
         cached_reply = False
         attempts = 0
-        for delay in self._attempt_delays(policy):
+        for delay in self.retry.attempt_delays():
             attempts += 1
             self._backoff += delay
             if attempts > 1:
@@ -609,8 +487,7 @@ class DistributedSRA:
             if not processed:
                 processed = True
                 replicated = self._greedy_visit(
-                    instance, log, nodes, node, site,
-                    crashed=faults.crashed, faults=faults, history=history,
+                    instance, log, nodes, node, faults, history
                 )
                 cached_reply = node.exhausted
             # One TOKEN_RETURN per delivered token copy; a duplicated
@@ -643,7 +520,7 @@ class DistributedSRA:
                     delivered = True
             if delivered:
                 return (replicated, cached_reply)
-        if policy.on_exhaust == RAISE:
+        if self.retry.on_exhaust == RAISE:
             raise RetryExhaustedError("TOKEN", site, attempts)
         return None
 

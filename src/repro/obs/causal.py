@@ -317,7 +317,8 @@ def dsra_rounds(
 
     For every ``dsra.round`` span: wall seconds split into greedy
     compute (the ``dsra.greedy`` child), simulated retry/backoff seconds
-    (hardened mode's attributes), and the messaging / bookkeeping
+    (the round's ``retries``/``backoff`` attributes, zero on a fault-free
+    run), and the messaging / bookkeeping
     remainder; plus the message count emitted inside the round.
     """
     records = _records_of(data)

@@ -480,18 +480,16 @@ class MessageFaults:
 
     def __init__(self, spec: MessageFaultSpec, seed: int = 0) -> None:
         self.spec = spec
+        # cached: the spec is frozen, and judge() reads this on every send
+        self.active = spec.active
         self._rng = np.random.default_rng(seed)
         self.losses = 0
         self.duplicates = 0
         self.total_delay = 0.0
 
-    @property
-    def active(self) -> bool:
-        return self.spec.active
-
     def judge(self) -> Tuple[bool, bool, float]:
         """Decide one message's fate: ``(lost, duplicated, extra_delay)``."""
-        if not self.spec.active:
+        if not self.active:
             return (False, False, 0.0)
         draws = self._rng.random(2)
         lost = bool(draws[0] < self.spec.loss)

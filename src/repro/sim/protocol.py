@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.core.strategies import WriteStrategy
-from repro.errors import SimulationError, ValidationError
+from repro.errors import FaultPlanError, SimulationError, ValidationError
 from repro.obs.ledger import current_ledger
 from repro.sim.engine import Simulator
 from repro.sim.metrics import (
@@ -145,7 +145,10 @@ class ReplicaSystem:
         ``unreachable[i, j]`` marks the ``i -> j`` link as delivering
         nothing at all (partition).  Called by
         :class:`~repro.sim.faults.FaultInjector`; passing ``None`` for
-        both restores the pristine base matrix exactly.
+        both restores the pristine base matrix exactly.  Raises
+        :class:`~repro.errors.FaultPlanError`, with no state changed,
+        when a finite multiplier prices a deliverable transfer beyond
+        the float range.
         """
         m = self._instance.num_sites
         for matrix, name in ((multipliers, "multipliers"),
@@ -154,13 +157,44 @@ class ReplicaSystem:
                 raise ValidationError(
                     f"{name} must have shape {(m, m)}, got {matrix.shape}"
                 )
+        cost = self._instance.cost
+        if multipliers is not None:
+            with np.errstate(over="ignore"):  # judged just below
+                cost = cost * multipliers
+            self._check_priceable(cost, multipliers, unreachable)
         self._multipliers = multipliers
         self._unreachable = unreachable
-        self._cost = (
-            self._instance.cost
-            if multipliers is None
-            else self._instance.cost * multipliers
+        self._cost = cost
+
+    def _check_priceable(
+        self,
+        cost: np.ndarray,
+        multipliers: np.ndarray,
+        unreachable: Optional[np.ndarray],
+    ) -> None:
+        """Reject a degraded cost matrix whose prices leave the float range.
+
+        A read can pay two transfers (a stale replica's refetch, then
+        the fetch), each at most the largest object over the dearest
+        deliverable link; that bound must stay finite, or an ``inf``
+        reaches the NTC sums and the latency histograms.
+        """
+        deliverable = np.isfinite(multipliers)
+        if unreachable is not None:
+            deliverable &= ~unreachable
+        priced = np.where(deliverable, cost, 0.0)
+        worst = float(priced.max())
+        bound = (
+            2.0 * worst * float(self._instance.sizes.max())
+            * max(1.0, self.metrics.unit_latency)
         )
+        if not np.isfinite(bound):
+            src, dst = np.unravel_index(int(priced.argmax()), priced.shape)
+            raise FaultPlanError(
+                f"link degradation prices transfers on link {src}->{dst} "
+                f"beyond the float range (unit cost {worst:g}); use "
+                f'factor "inf" to sever a link'
+            )
 
     @property
     def has_link_faults(self) -> bool:

@@ -14,8 +14,13 @@ from repro.errors import (
     RetryExhaustedError,
     ValidationError,
 )
+from repro.obs.causal import SEND_EVENT
+from repro.runtime import scoped_ledger, scoped_tracer
 from repro.sim.faults import CrashWindow, FaultPlan, MessageFaultSpec
 from repro.workload import WorkloadSpec, generate_instance
+
+#: wall-clock fields of a trace record; everything else is deterministic
+_CLOCK_FIELDS = ("start", "end", "time")
 
 
 @pytest.mark.parametrize("seed", [1, 7, 23, 42])
@@ -95,32 +100,62 @@ def test_summary_keys(small_instance):
     assert "total_messages" in summary
 
 
-class TestHardenedProtocol:
-    def test_none_plan_is_byte_identical_to_default(self, small_instance):
-        baseline = DistributedSRA().run(small_instance)
-        explicit = DistributedSRA(fault_plan=None).run(small_instance)
-        assert np.array_equal(
-            baseline.scheme.matrix, explicit.scheme.matrix
-        )
-        assert [
-            (m.kind, m.sender, m.receiver, m.size_units)
-            for m in baseline.log.messages
-        ] == [
-            (m.kind, m.sender, m.receiver, m.size_units)
-            for m in explicit.log.messages
+@pytest.mark.parametrize(
+    "sites, objects, seed, leader",
+    [(12, 30, 0, 0), (10, 20, 3, 4), (30, 80, 5, 0), (40, 200, 7, 0)],
+)
+def test_fault_free_message_identity(sites, objects, seed, leader):
+    """M STATS, a TOKEN and a TOKEN_RETURN per round, and per replication
+    one OBJECT_TRANSFER plus M - 1 REPLICATE: nothing lost or resent."""
+    instance = generate_instance(
+        WorkloadSpec(num_sites=sites, num_objects=objects), rng=seed
+    )
+    with scoped_tracer(capacity=1_000_000) as tracer:
+        report = DistributedSRA(leader_site=leader).run(instance)
+        sends = [
+            r for r in tracer.records()
+            if r["type"] == "event" and r["name"] == SEND_EVENT
         ]
-        assert baseline.summary() == explicit.summary()
+        assert tracer.dropped == 0
+    assert report.log.total_messages == (
+        sites + 2 * report.token_rounds + report.replications * sites
+    )
+    assert len(sends) == report.log.total_messages
+    assert not any(r["attrs"]["lost"] for r in sends)
+    assert report.retries == report.duplicates == report.elections == 0
+    assert report.log.count_by_kind[MessageKind.ELECTION] == 0
+    assert report.suspected_sites == []
+    assert report.leader_history == [leader]
 
-    def test_empty_plan_matches_none_plan(self, small_instance):
-        baseline = DistributedSRA().run(small_instance)
-        hardened = DistributedSRA(fault_plan=FaultPlan.empty()).run(
-            small_instance
+
+class TestHardenedProtocol:
+    def test_default_run_is_the_empty_plan_run(self, small_instance):
+        def observed(protocol):
+            with scoped_tracer() as tracer, scoped_ledger() as ledger:
+                report = protocol.run(small_instance)
+                records = [
+                    {k: v for k, v in r.items() if k not in _CLOCK_FIELDS}
+                    for r in tracer.records()
+                ]
+                entries = ledger.entries()
+            messages = [
+                (m.sender, m.receiver, m.kind, m.size_units, m.payload)
+                for m in report.log.messages
+            ]
+            return report, messages, records, entries
+
+        report, messages, records, entries = observed(DistributedSRA())
+        plain, plain_messages, plain_records, plain_entries = observed(
+            DistributedSRA(fault_plan=FaultPlan())
         )
-        assert np.array_equal(
-            baseline.scheme.matrix, hardened.scheme.matrix
-        )
-        assert hardened.elections == 0
-        assert hardened.retries == 0
+        assert np.array_equal(report.scheme.matrix, plain.scheme.matrix)
+        assert report.summary() == plain.summary()
+        assert report.leader_history == plain.leader_history
+        assert report.suspected_sites == plain.suspected_sites
+        assert messages == plain_messages
+        assert records == plain_records
+        assert entries == plain_entries
+        assert records and entries
 
     def test_leader_crash_triggers_exactly_one_election(
         self, small_instance

@@ -1,7 +1,7 @@
 """Loader fuzzing: a corrupted input file is a typed error.
 
 Each example saves a small instance (or a scheme with its instance, a
-fault plan, a placement ledger), overwrites one field of the file —
+fault plan, a placement ledger, a shrink artifact), overwrites one field of the file —
 whole, or one element of it — with a huge int, +-inf, NaN, a fraction, a
 ragged list, a value of the wrong type or null, and loads it back.  The
 load must either raise a :class:`~repro.errors.ReproError` or return
@@ -23,6 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
+from repro.conformance import default_corpus
+from repro.conformance.shrink import ShrinkResult, load_artifact, write_artifact
 from repro.core import ReplicationScheme
 from repro.errors import ReproError
 from repro.io import load_instance, load_scheme, save_instance, save_scheme
@@ -245,3 +247,104 @@ def test_corrupted_ledger_is_rejected_or_loaded_exactly(data):
     for obj in (0, 1):
         render_explanation(loaded, obj)
         render_explanation(loaded, obj, site=1, at=5.0)
+
+
+# --------------------------------------------------------------------- #
+# shrink artifacts
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def artifact_text(tmp_path_factory):
+    """The text of a shrink artifact for the corpus scenario with faults."""
+    scenario = next(sc for sc in default_corpus() if sc.fault_plan is not None)
+    instance = scenario.build()
+    result = ShrinkResult(
+        instance=instance,
+        failures=["sparse-tiled: total cost differs"],
+        original_sites=instance.num_sites,
+        original_objects=instance.num_objects,
+        steps=["drop-site-3"],
+        evaluations=4,
+        scenario=scenario,
+    )
+    path = tmp_path_factory.mktemp("artifact") / "repro.json"
+    write_artifact(result, str(path))
+    return path.read_text()
+
+
+#: what ``Scenario.from_dict`` fills in for an absent optional field
+_SCENARIO_DEFAULTS = {
+    "update_ratio": 0.05, "capacity_ratio": 0.15, "topology": "paper",
+    "tags": [], "fault_plan": None,
+}
+
+#: (section, field): a top-level field, or one of the scenario or instance
+ARTIFACT_TARGETS = (
+    [(None, f) for f in ("summary", "instance", "scenario")]
+    + [("scenario", f) for f in (
+        "name", "seed", "num_sites", "num_objects", "update_ratio",
+        "capacity_ratio", "topology", "tags", "fault_plan",
+    )]
+    + [("instance", f) for f in _INSTANCE_FIELDS]
+)
+
+
+def _scenario_values(scenario) -> dict:
+    values = scenario.to_dict()
+    plan = scenario.fault_plan
+    values["fault_plan"] = None if plan is None else _plan_values(plan.to_dict())
+    return values
+
+
+@pytest.mark.parametrize(
+    "section, field",
+    ARTIFACT_TARGETS,
+    ids=[f"{s or 'top'}-{f}" for s, f in ARTIFACT_TARGETS],
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_corrupted_shrink_artifact_is_rejected_or_loaded_exactly(
+    artifact_text, section, field, data
+):
+    document = json.loads(artifact_text)
+    holder = document if section is None else document[section]
+    if data.draw(st.booleans()):
+        del holder[field]  # a field missing altogether
+    else:
+        mutation = data.draw(st.sampled_from(MUTATIONS))
+        key = field
+        while isinstance(holder[key], list) and data.draw(st.booleans()):
+            holder, key = holder[key], data.draw(
+                st.integers(0, len(holder[key]) - 1)
+            )
+        holder[key] = _bad_value(data.draw, mutation, holder[key])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "artifact.json"
+        path.write_text(json.dumps(document))
+        try:
+            loaded = load_artifact(str(path))
+        except ReproError:
+            return
+    assert loaded["summary"] == document["summary"]
+    assert loaded["instance"].to_dict() == document["instance"]
+    if "scenario" in document:
+        expected = {**_SCENARIO_DEFAULTS, **document["scenario"]}
+        if expected["fault_plan"] is not None:
+            expected["fault_plan"] = _plan_values(expected["fault_plan"])
+        assert _scenario_values(loaded["scenario"]) == expected
+
+
+@pytest.mark.parametrize("damage", ["summary", "scenario-name"])
+def test_damaged_artifact_replay_is_a_clean_error(
+    artifact_text, tmp_path, capsys, damage
+):
+    document = json.loads(artifact_text)
+    if damage == "summary":
+        del document["summary"]
+    else:
+        del document["scenario"]["name"]
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(document))
+    assert main(["conform", "shrink", "--artifact", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

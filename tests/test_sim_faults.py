@@ -465,3 +465,52 @@ class TestSeveredLinks:
         assert system.effective_cost[0, 1] == pytest.approx(
             manual_instance.cost[0, 1] * 9.0
         )
+
+    def test_overflowing_finite_factor_is_rejected_untouched(
+        self, manual_instance
+    ):
+        # Regression: only an infinite multiplier severs a link, so a
+        # huge finite factor priced transfers at inf and the latency
+        # histogram raised a bare ValueError mid-replay.
+        system = make_system(manual_instance)
+        plan = FaultPlan(
+            degradations=(LinkDegradation(src=0, dst=1, factor=1e308),),
+        )
+        with pytest.raises(FaultPlanError, match="float range"):
+            FaultInjector(plan).advance_to(0.0, system)
+        assert not system.has_link_faults
+        assert np.array_equal(system.effective_cost, manual_instance.cost)
+
+
+@pytest.mark.parametrize(
+    "factor, code", [(1e308, 1), (1e300, 0), (4.0, 0)]
+)
+def test_simulate_with_huge_factors_is_a_result_or_a_clean_error(
+    tmp_path, capsys, factor, code
+):
+    import json
+
+    from repro.algorithms import SRA
+    from repro.cli import main
+    from repro.io import save_scheme
+    from repro.workload import WorkloadSpec, generate_instance
+
+    instance = generate_instance(
+        WorkloadSpec(num_sites=6, num_objects=8), rng=7
+    )
+    scheme = tmp_path / "scheme.json"
+    save_scheme(SRA().run(instance).scheme, scheme)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"degradations": [
+        {"src": 0, "dst": dst, "factor": factor} for dst in range(1, 6)
+    ]}))
+    status = main([
+        "simulate", str(scheme), "--seed", "5", "--faults", str(plan),
+    ])
+    captured = capsys.readouterr()
+    assert status == code
+    assert "Traceback" not in captured.err
+    if code:
+        assert captured.err.startswith("error: ")
+    else:
+        assert "requests replayed" in captured.out
