@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.problem import DRPInstance
-from repro.distributed.messages import Message, MessageKind, MessageLog
+from repro.distributed.messages import MessageKind, MessageLog
 from repro.distributed.node import elect_lowest_alive
 from repro.distributed.retry import DEFAULT_RETRY_POLICY, RAISE, RetryPolicy
 from repro.errors import ProtocolError, RetryExhaustedError, ValidationError
@@ -259,14 +259,11 @@ class MonitorProtocol:
             delivered = (
                 not lost and self.monitor_site not in self._faults.crashed
             )
-            self.log.record(
-                Message(
-                    sender=site,
-                    receiver=self.monitor_site,
-                    kind=MessageKind.STATS,
-                    size_units=float(shipped),
-                    payload=None,
-                ),
+            self.log.send(
+                site,
+                self.monitor_site,
+                MessageKind.STATS,
+                float(shipped),
                 lost=not delivered,
             )
             if delivered:

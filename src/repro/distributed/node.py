@@ -17,12 +17,19 @@ import numpy as np
 from repro.core.incremental import eq5_benefit
 from repro.core.problem import DRPInstance
 from repro.core.scheme import CAPACITY_TOLERANCE
-from repro.distributed.messages import Message, MessageKind, MessageLog
+from repro.distributed.messages import MessageKind, MessageLog
 from repro.errors import ProtocolError
 
 
 class SiteNode:
-    """One site's local state and greedy logic."""
+    """One site's local state and greedy logic.
+
+    The Eq. 5 operands are kept as per-object arrays over the site's own
+    rows: reads, the cost to each object's primary and to its nearest
+    known replica (``SN_ik``, which may be stale), and — once STATS
+    arrived — the other sites' writes.  The candidate list ``L_i`` is a
+    mask over the objects.
+    """
 
     def __init__(self, site: int, instance: DRPInstance) -> None:
         self.site = site
@@ -31,25 +38,33 @@ class SiteNode:
         self._reads_row = instance.reads[site]
         self._writes_row = instance.writes[site]
         self._sizes = instance.sizes
-        self._primaries = instance.primaries
+        self._primary_cost = self._cost_row[instance.primaries]
         self.capacity = float(instance.capacities[site])
         self.remaining = self.capacity
         self.replicas: Set[int] = set()
         # SN_ik field per object; initially the primary site.
         self.nearest = instance.primaries.astype(np.int64).copy()
-        # Global write totals; filled by the leader's STATS message.
-        self.write_totals: Optional[np.ndarray] = None
+        self._nearest_cost = self._primary_cost.copy()
+        # Other sites' writes per object; filled by the leader's STATS.
+        self._other_writes: Optional[np.ndarray] = None
         # Candidate list L_i.
-        self.candidates: Set[int] = set(range(instance.num_objects))
+        self._open = np.ones(instance.num_objects, dtype=bool)
 
     # ------------------------------------------------------------------ #
+    @property
+    def candidates(self) -> Set[int]:
+        """The candidate list ``L_i`` as a set of objects."""
+        return set(np.flatnonzero(self._open).tolist())
+
     def receive_stats(self, write_totals: np.ndarray) -> None:
-        self.write_totals = np.asarray(write_totals, dtype=float).copy()
+        self._other_writes = (
+            np.asarray(write_totals, dtype=float) - self._writes_row
+        )
 
     def host_primary(self, obj: int) -> None:
         """Install the primary copy (consumes capacity, not a candidate)."""
         self.replicas.add(obj)
-        self.candidates.discard(obj)
+        self._open[obj] = False
         self.remaining -= float(self._sizes[obj])
         if self.remaining < -CAPACITY_TOLERANCE:
             raise ProtocolError(
@@ -58,62 +73,56 @@ class SiteNode:
 
     def observe_replication(self, obj: int, replicator: int) -> None:
         """Update the local ``SN`` field after a REPLICATE broadcast."""
-        if self._cost_row[replicator] < self._cost_row[self.nearest[obj]]:
+        cost = self._cost_row[replicator]
+        if cost < self._nearest_cost[obj]:
             self.nearest[obj] = replicator
+            self._nearest_cost[obj] = cost
 
     # ------------------------------------------------------------------ #
-    def benefit(self, obj: int) -> float:
-        """Eq. 5 benefit of replicating ``obj`` here, from local knowledge."""
-        if self.write_totals is None:
+    def _benefits(self) -> np.ndarray:
+        """Eq. 5 benefit of every object here, from local knowledge."""
+        if self._other_writes is None:
             raise ProtocolError(
                 f"site {self.site} has no statistics; leader must send STATS"
             )
-        other_writes = float(self.write_totals[obj]) - float(
-            self._writes_row[obj]
+        return eq5_benefit(
+            self._reads_row,
+            self._nearest_cost,
+            self._other_writes,
+            self._primary_cost,
         )
-        return float(
-            eq5_benefit(
-                float(self._reads_row[obj]),
-                float(self._cost_row[self.nearest[obj]]),
-                other_writes,
-                float(self._cost_row[self._primaries[obj]]),
-            )
-        )
+
+    def benefit(self, obj: int) -> float:
+        """Eq. 5 benefit of replicating ``obj`` here, from local knowledge."""
+        return float(self._benefits()[obj])
 
     def greedy_step(self) -> Optional[int]:
         """One SRA step: pick the best candidate, prune dead ones.
 
         Returns the replicated object, or ``None`` when no candidate has
         positive benefit (the candidate list is pruned accordingly).
+        Candidates with a non-positive benefit or that no longer fit are
+        dead; ties go to the lowest object index, as in the centralised
+        SRA (``argmax`` returns the first maximum).
         """
-        best_obj: Optional[int] = None
-        best_benefit = 0.0
-        dead: List[int] = []
-        # Sorted iteration keeps tie-breaking identical to the centralised
-        # SRA (numpy argmax returns the lowest index).
-        for obj in sorted(self.candidates):
-            fits = float(self._sizes[obj]) <= self.remaining + CAPACITY_TOLERANCE
-            value = self.benefit(obj)
-            if value <= 0.0 or not fits:
-                dead.append(obj)
-                continue
-            if value > best_benefit:
-                best_benefit = value
-                best_obj = obj
-        for obj in dead:
-            self.candidates.discard(obj)
-        if best_obj is None:
+        value = self._benefits()
+        fits = self._sizes <= self.remaining + CAPACITY_TOLERANCE
+        live = self._open & fits & (value > 0.0)
+        self._open = live
+        if not live.any():
             return None
-        self.replicas.add(best_obj)
-        self.candidates.discard(best_obj)
-        self.remaining -= float(self._sizes[best_obj])
-        self.nearest[best_obj] = self.site
-        return best_obj
+        best = int(np.argmax(np.where(live, value, -np.inf)))
+        self.replicas.add(best)
+        self._open[best] = False
+        self.remaining -= float(self._sizes[best])
+        self.nearest[best] = self.site
+        self._nearest_cost[best] = self._cost_row[self.site]
+        return best
 
     @property
     def exhausted(self) -> bool:
         """True when the candidate list ``L_i`` is empty."""
-        return not self.candidates
+        return not self._open.any()
 
 
 class LeaderNode:
@@ -161,10 +170,10 @@ def elect_lowest_alive(
     if not alive:
         return None
     elected = alive[0]
-    for s in alive[1:]:
-        log.record(
-            Message(elected, s, MessageKind.ELECTION, 0.0, payload=elected)
-        )
+    peers = alive[1:]
+    log.send_many(
+        elected, peers, MessageKind.ELECTION, 0.0, elected, [False] * len(peers)
+    )
     return elected
 
 

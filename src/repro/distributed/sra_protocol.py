@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
-from repro.distributed.messages import Message, MessageKind, MessageLog
+from repro.distributed.messages import MessageKind, MessageLog
 from repro.distributed.node import LeaderNode, SiteNode, elect_lowest_alive
 from repro.distributed.retry import DEFAULT_RETRY_POLICY, RAISE, RetryPolicy
 from repro.errors import ProtocolError, RetryExhaustedError, ValidationError
@@ -179,11 +179,7 @@ class DistributedSRA:
                 )
                 suspected.discard(site)
                 node = nodes[site]
-                log.record(
-                    Message(
-                        leader.site, site, MessageKind.STATS, 0.0
-                    )
-                )
+                log.send(leader.site, site, MessageKind.STATS)
                 node.receive_stats(write_totals)
                 for obj, replicator in history:
                     node.observe_replication(obj, replicator)
@@ -215,9 +211,7 @@ class DistributedSRA:
             apply_transitions(0.0)
             for node in nodes:
                 if node.site == leader.site:
-                    log.record(
-                        Message(leader.site, node.site, MessageKind.STATS, 0.0)
-                    )
+                    log.send(leader.site, node.site, MessageKind.STATS)
                     node.receive_stats(write_totals)
                     continue
                 if self._send_with_retry(
@@ -353,36 +347,31 @@ class DistributedSRA:
                 source = fallback
         # Data: pull the object payload from the chosen replica.  The
         # data-plane transport is reliable; message faults do not apply.
-        log.record(
-            Message(
-                sender=source,
-                receiver=site,
-                kind=MessageKind.OBJECT_TRANSFER,
-                size_units=float(instance.sizes[replicated]),
-                payload=replicated,
-            )
+        log.send(
+            source,
+            site,
+            MessageKind.OBJECT_TRANSFER,
+            float(instance.sizes[replicated]),
+            replicated,
         )
         ledger = current_ledger()
         if ledger.enabled:
             ledger.record("add", obj=replicated, site=site, source=source)
         history.append((replicated, site))
-        # Control: announce the new replica to every other site.
-        judge = faults.messages.judge
-        announce = (replicated, site)
-        for other in nodes:
-            peer = other.site
-            if peer == site or peer in crashed:
-                continue  # a crashed peer resyncs from history on recovery
-            lost, dup, _ = judge()
-            if dup:
-                self._duplicates += 1  # observe_replication is a min
-            log.record(
-                Message(site, peer, MessageKind.REPLICATE, 0.0, announce),
-                lost=lost,
-            )
-            if lost:
-                continue  # best-effort gossip: peer's SN goes stale
-            other.observe_replication(replicated, site)
+        # Control: announce the new replica to every other site; a crashed
+        # peer resyncs from history on recovery.
+        peers = [
+            peer for peer in range(len(nodes))
+            if peer != site and peer not in crashed
+        ]
+        lost, dup = faults.messages.judge_many(len(peers))
+        self._duplicates += dup.count(True)  # observe_replication is a min
+        log.send_many(
+            site, peers, MessageKind.REPLICATE, 0.0, (replicated, site), lost
+        )
+        for peer, was_lost in zip(peers, lost):
+            if not was_lost:  # best-effort gossip: a lost one goes stale
+                nodes[peer].observe_replication(replicated, site)
         return replicated
 
     @staticmethod
@@ -437,9 +426,7 @@ class DistributedSRA:
             if dup:
                 self._duplicates += 1  # receivers dedup idempotently
             delivered = receiver not in faults.crashed and not lost
-            log.record(
-                Message(sender, receiver, kind, 0.0), lost=not delivered
-            )
+            log.send(sender, receiver, kind, lost=not delivered)
             if delivered:
                 return True
         if self.retry.on_exhaust == RAISE:
@@ -478,10 +465,7 @@ class DistributedSRA:
             else:
                 lost, dup, _ = faults.messages.judge()
             arrived = site not in faults.crashed and not lost
-            log.record(
-                Message(leader.site, site, MessageKind.TOKEN, 0.0),
-                lost=not arrived,
-            )
+            log.send(leader.site, site, MessageKind.TOKEN, lost=not arrived)
             if not arrived:
                 continue  # token never arrived; back off and resend
             if not processed:
@@ -506,14 +490,11 @@ class DistributedSRA:
                 arrived2 = (
                     not lost2 and leader.site not in faults.crashed
                 )
-                log.record(
-                    Message(
-                        site,
-                        leader.site,
-                        MessageKind.TOKEN_RETURN,
-                        0.0,
-                        payload=cached_reply,
-                    ),
+                log.send(
+                    site,
+                    leader.site,
+                    MessageKind.TOKEN_RETURN,
+                    payload=cached_reply,
                     lost=not arrived2,
                 )
                 if arrived2:

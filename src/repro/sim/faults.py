@@ -470,12 +470,23 @@ def load_fault_plan(path: str) -> FaultPlan:
 # --------------------------------------------------------------------- #
 # message-level faults (used by the distributed protocol emulations)
 # --------------------------------------------------------------------- #
+#: uniforms drawn per refill while no delay draw interleaves (2,048 fates)
+_FATE_BLOCK = 4096
+
+
 class MessageFaults:
     """Seeded per-message loss / duplication / delay decisions.
 
-    One :meth:`judge` call per message send; the draw count per call is
-    fixed while the spec is active, so decision streams are reproducible
-    for a given ``(spec, seed)`` regardless of message content.
+    One :meth:`judge` call per message send (or one :meth:`judge_many`
+    call per batch); the draw count per message is fixed while the spec
+    is active, so decision streams are reproducible for a given
+    ``(spec, seed)`` regardless of message content.
+
+    Each message takes a ``(loss, duplicate)`` pair of uniforms, then,
+    when ``delay_mean > 0``, one exponential draw.  Without a delay the
+    pairs are read from one ``random(4096)`` block at a time: the same
+    stream as one ``random(2)`` call per message, so the fates are the
+    same, but the generator ends a run up to one block further ahead.
     """
 
     def __init__(self, spec: MessageFaultSpec, seed: int = 0) -> None:
@@ -483,26 +494,60 @@ class MessageFaults:
         # cached: the spec is frozen, and judge() reads this on every send
         self.active = spec.active
         self._rng = np.random.default_rng(seed)
+        self._block: List[float] = []
+        self._next = 0
         self.losses = 0
         self.duplicates = 0
         self.total_delay = 0.0
+
+    def _uniforms(self, count: int) -> List[float]:
+        """The next ``count`` uniforms of the block stream."""
+        out = self._block[self._next : self._next + count]
+        self._next += count
+        while len(out) < count:
+            self._block = self._rng.random(_FATE_BLOCK).tolist()
+            self._next = count - len(out)
+            out += self._block[: self._next]
+        return out
 
     def judge(self) -> Tuple[bool, bool, float]:
         """Decide one message's fate: ``(lost, duplicated, extra_delay)``."""
         if not self.active:
             return (False, False, 0.0)
-        draws = self._rng.random(2)
-        lost = bool(draws[0] < self.spec.loss)
-        duplicated = bool(draws[1] < self.spec.duplicate)
+        spec = self.spec
         delay = 0.0
-        if self.spec.delay_mean > 0.0:
-            delay = float(self._rng.exponential(self.spec.delay_mean))
+        if spec.delay_mean > 0.0:
+            u_loss, u_dup = self._rng.random(2).tolist()
+            delay = float(self._rng.exponential(spec.delay_mean))
+        else:
+            u_loss, u_dup = self._uniforms(2)
+        lost = u_loss < spec.loss
+        duplicated = u_dup < spec.duplicate
         if lost:
             self.losses += 1
         if duplicated:
             self.duplicates += 1
         self.total_delay += delay
         return (lost, duplicated, delay)
+
+    def judge_many(self, count: int) -> Tuple[List[bool], List[bool]]:
+        """The ``(lost, duplicated)`` flags of ``count`` messages.
+
+        The same fates, counters and stream as ``count`` :meth:`judge`
+        calls in a row; the delays are only added to ``total_delay``.
+        """
+        if not self.active:
+            return [False] * count, [False] * count
+        if self.spec.delay_mean > 0.0:
+            fates = [self.judge() for _ in range(count)]
+            return [f[0] for f in fates], [f[1] for f in fates]
+        uniforms = self._uniforms(2 * count)
+        loss, duplicate = self.spec.loss, self.spec.duplicate
+        lost = [u < loss for u in uniforms[0::2]]
+        duplicated = [u < duplicate for u in uniforms[1::2]]
+        self.losses += lost.count(True)
+        self.duplicates += duplicated.count(True)
+        return lost, duplicated
 
 
 class ProtocolFaults:

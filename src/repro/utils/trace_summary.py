@@ -18,6 +18,7 @@ renders, without leaving the terminal:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -161,13 +162,26 @@ def gra_convergence(summary: TraceSummary) -> List[Dict[str, object]]:
                 "seconds": node.duration,
             }
         )
+    # numbered generations in order, then any other label, then none
     rows.sort(
         key=lambda r: (
             r["generation"] is None,
-            r["generation"],
+            not isinstance(r["generation"], (int, float)),
+            r["generation"]
+            if isinstance(r["generation"], (int, float))
+            else str(r["generation"]),
         )
     )
     return rows
+
+
+def _count(value: object) -> int:
+    """A counter attribute as an int; a value that is no finite number
+    (absent, null, a string) counts as 0."""
+    try:
+        return int(value) if math.isfinite(value) else 0
+    except (TypeError, ValueError, OverflowError):
+        return 0
 
 
 def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
@@ -187,7 +201,7 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
     for node in summary.spans:
         if node.name == COST_BATCH_SPAN:
             batch_calls += 1
-            batch_rows += int(node.attrs.get("rows", 0) or 0)
+            batch_rows += _count(node.attrs.get("rows"))
     chained = 0
     priced = applied = 0
     delta_events = 0
@@ -196,11 +210,11 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
             continue
         delta_events += 1
         attrs = dict(event.get("attrs") or {})
-        chained += int(attrs.get("chained", 0) or 0)
+        chained += _count(attrs.get("chained"))
         # Cumulative per-evaluator counters: the latest sample carries
         # the running total, so keep the maximum seen.
-        priced = max(priced, int(attrs.get("priced", 0) or 0))
-        applied = max(applied, int(attrs.get("applied", 0) or 0))
+        priced = max(priced, _count(attrs.get("priced")))
+        applied = max(applied, _count(attrs.get("applied")))
     if not batch_calls and not delta_events:
         return None
     return {

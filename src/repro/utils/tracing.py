@@ -17,6 +17,15 @@ records are discarded and a ``dropped`` count — plus a per-kind
 breakdown keyed by the record name's first dotted segment — is carried
 into every export so truncation is never silent.
 
+Records that another structure already holds in full stay off the ring.
+A message log keeps one column row per protocol message, so its
+``msg.send``/``msg.recv`` events are an *off-ring source*
+(:meth:`Tracer.attach`): the tracer stamps each row with its ids, parent
+span, time and ring position (:meth:`Tracer.stamp`) and builds the
+records only when they are read — in :meth:`Tracer.records`, the
+exports and :meth:`Tracer.snapshot` — merged back into ring order.
+Off-ring records never count against the capacity and are never dropped.
+
 Traces export as JSONL (one record per line, ``meta`` line first) or as
 the Chrome ``trace_event`` JSON format, loadable in Perfetto or
 ``chrome://tracing``.  :func:`read_trace` loads either format back.
@@ -42,10 +51,13 @@ across the processes of one parallel sweep up to OS clock skew.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from collections import deque
-from typing import Deque, Dict, IO, List, Optional
+from typing import (
+    Deque, Dict, IO, Iterable, Iterator, List, Optional, Protocol, Tuple,
+)
 
 from repro.errors import ValidationError
 from repro.utils.files import atomic_write, read_text
@@ -173,6 +185,10 @@ class Tracer:
         self.dropped = 0
         self.dropped_by_kind: Dict[str, int] = {}
         self._buffer: Deque[Record] = deque(maxlen=capacity)
+        #: ring appends so far (dropped ones included): a ring position
+        self._appended = 0
+        #: off-ring record sources, in the order they began recording
+        self._sources: List[OffRingSource] = []
         self._stack: List[_SpanHandle] = []
         self._next_id = 0
         # perf_counter deltas re-based onto the wall clock: monotonic in
@@ -197,6 +213,7 @@ class Tracer:
             kind = _record_kind(self._buffer[0])
             self.dropped_by_kind[kind] = self.dropped_by_kind.get(kind, 0) + 1
         self._buffer.append(record)
+        self._appended += 1
 
     def span(self, name: str, **attrs: object):
         """Open a nested span; use as a context manager."""
@@ -221,6 +238,38 @@ class Tracer:
             }
         )
 
+    def stamp(self, ids: int) -> Tuple[int, Optional[int], float, int]:
+        """What an off-ring row needs to become records later.
+
+        Allocates ``ids`` consecutive record ids and returns ``(first
+        id, current span id, now, ring position)``; the position is the
+        number of ring appends so far, so the row's records read back
+        right before the ring record appended next.
+        """
+        first = self._next_id
+        self._next_id = first + ids
+        stack = self._stack
+        return (
+            first,
+            stack[-1].id if stack else None,
+            self._now(),
+            self._appended,
+        )
+
+    def attach(self, source: "OffRingSource") -> None:
+        """Register an off-ring record source (see :class:`OffRingSource`).
+
+        Sources must record one after another: a source that resumes
+        after another one recorded attaches a new source for its new
+        rows, so concatenating the sources keeps recording order.
+        """
+        self._sources.append(source)
+
+    @property
+    def last_source(self) -> Optional["OffRingSource"]:
+        """The source attached last, or ``None``."""
+        return self._sources[-1] if self._sources else None
+
     @property
     def current_span_id(self) -> Optional[int]:
         """Id of the innermost open span, if any."""
@@ -237,24 +286,58 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # access / aggregation
     # ------------------------------------------------------------------ #
+    def _tagged(self) -> Iterator[Tuple[bool, Record]]:
+        """Every record in recording order, as ``(off_ring, record)``.
+
+        Off-ring records are built here, then merged in front of the
+        ring record whose position follows their stamp.
+        """
+        position = self._appended - len(self._buffer)
+        side = (
+            entry for source in self._sources for entry in source.entries()
+        )
+        pending = next(side, None)
+        for record in self._buffer:
+            while pending is not None and pending[0] <= position:
+                yield True, pending[1]
+                pending = next(side, None)
+            yield False, record
+            position += 1
+        while pending is not None:
+            yield True, pending[1]
+            pending = next(side, None)
+
     def records(self) -> List[Record]:
-        """A copy of the buffered records, oldest first."""
-        return list(self._buffer)
+        """A copy of the recorded records, oldest first."""
+        return [record for _off, record in self._tagged()]
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return len(self._buffer) + sum(len(s) for s in self._sources)
 
     def reset(self) -> None:
         self._buffer.clear()
+        self._appended = 0
+        self._sources = []
         self._stack.clear()
         self.dropped = 0
         self.dropped_by_kind = {}
         self._next_id = 0
 
     def snapshot(self) -> Record:
-        """A picklable copy of the buffer (how workers ship traces back)."""
+        """A picklable copy of the records (how workers ship traces back).
+
+        ``off_ring`` lists the indices of the off-ring records, so that
+        :meth:`merge_snapshot` keeps them off the parent's ring too.
+        """
+        records: List[Record] = []
+        off_ring: List[int] = []
+        for off, record in self._tagged():
+            if off:
+                off_ring.append(len(records))
+            records.append(dict(record))
         return {
-            "records": [dict(r) for r in self._buffer],
+            "records": records,
+            "off_ring": off_ring,
             "dropped": self.dropped,
             "dropped_by_kind": dict(self.dropped_by_kind),
             "pid": self.pid,
@@ -271,10 +354,13 @@ class Tracer:
         (allocation follows record order, so merging the same snapshots
         in the same order yields the same ids), and records whose parent
         is unknown — the worker's root spans — are re-parented under
-        ``parent_id``.  Returns the id remap table.
+        ``parent_id``.  The records the snapshot lists as ``off_ring``
+        stay off this tracer's ring too.  Returns the id remap table.
         """
         remap: Dict[int, int] = {}
         records = [dict(record) for record in snapshot.get("records", [])]
+        off_ring = set(snapshot.get("off_ring", ()))
+        merged = _ShippedRecords()
         # Two passes: spans close child-before-parent, so a child record
         # precedes its parent in the buffer — every id must be allocated
         # before any parent link can be resolved.
@@ -282,14 +368,19 @@ class Tracer:
             old_id = record.get("id")
             if isinstance(old_id, int):
                 remap[old_id] = record["id"] = self._allocate_id()
-        for record in records:
+        for index, record in enumerate(records):
             parent = record.get("parent")
             if isinstance(parent, int) and parent in remap:
                 record["parent"] = remap[parent]
             else:
                 # root (or truncated-away parent): hang under parent_id
                 record["parent"] = parent_id
-            self._append(record)
+            if index in off_ring:
+                merged.rows.append((self._appended, record))
+            else:
+                self._append(record)
+        if merged.rows:
+            self.attach(merged)
         self.dropped += int(snapshot.get("dropped", 0))
         for kind, count in (snapshot.get("dropped_by_kind") or {}).items():
             self.dropped_by_kind[kind] = (
@@ -305,7 +396,7 @@ class Tracer:
             "type": META,
             "version": 1,
             "pid": self.pid,
-            "records": len(self._buffer),
+            "records": len(self),
             "dropped": self.dropped,
             "dropped_by_kind": dict(self.dropped_by_kind),
         }
@@ -313,7 +404,7 @@ class Tracer:
     def write_jsonl(self, fp: IO[str]) -> None:
         """One JSON record per line; a ``meta`` line (dropped count) first."""
         fp.write(json.dumps(self._meta()) + "\n")
-        for record in self._buffer:
+        for record in self.records():
             fp.write(json.dumps(record) + "\n")
 
     def write_chrome(self, fp: IO[str]) -> None:
@@ -334,7 +425,7 @@ class Tracer:
         """
         entries: List[Record] = []
         flow_ids: Dict[object, int] = {}
-        for record in self._buffer:
+        for record in self.records():
             entries.append(_record_to_chrome(record))
             flow = _flow_entry(record, flow_ids)
             if flow is not None:
@@ -360,6 +451,33 @@ class Tracer:
             else:
                 self.write_jsonl(fp)
         return path
+
+
+class OffRingSource(Protocol):
+    """Records held outside the ring, built when the trace is read.
+
+    ``entries()`` yields ``(ring position, record)`` in recording order,
+    each position being :meth:`Tracer.stamp`'s at the time the record
+    was made; ``len()`` is the number of records it yields.  The
+    message log of :mod:`repro.distributed.messages` is the main source.
+    """
+
+    def entries(self) -> Iterable[Tuple[int, Record]]: ...
+
+    def __len__(self) -> int: ...
+
+
+class _ShippedRecords:
+    """Off-ring records that arrived built, in a worker's snapshot."""
+
+    def __init__(self) -> None:
+        self.rows: List[Tuple[int, Record]] = []
+
+    def entries(self) -> Iterable[Tuple[int, Record]]:
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 def _record_kind(record: Record) -> str:
@@ -425,6 +543,8 @@ def _record_to_chrome(record: Record) -> Record:
 
 
 def _chrome_to_record(entry: Record) -> Optional[Record]:
+    if entry.get("ph") not in ("X", "i"):
+        return None  # other phase types (flows, metadata) are not ours
     args = dict(entry.get("args") or {})
     if isinstance(args.get("attrs"), dict):
         # Current format: metadata flat, user attributes namespaced.
@@ -441,42 +561,97 @@ def _chrome_to_record(entry: Record) -> Optional[Record]:
     common = {
         "id": span_id,
         "parent": parent,
-        "name": entry.get("name", ""),
+        "name": entry.get("name"),
         "pid": entry.get("pid", 0),
         "attrs": attrs,
     }
-    if entry.get("ph") == "X":
-        start = float(entry.get("ts", 0.0)) / 1e6
+    if entry["ph"] == "X":
+        start = entry.get("ts") / 1e6
         return {
             "type": SPAN,
             "start": start,
-            "end": start + float(entry.get("dur", 0.0)) / 1e6,
+            "end": start + entry.get("dur") / 1e6,
             **common,
         }
-    if entry.get("ph") == "i":
-        return {
-            "type": EVENT,
-            "time": float(entry.get("ts", 0.0)) / 1e6,
-            **common,
-        }
-    return None  # other phase types (metadata etc.) are not ours
+    return {"type": EVENT, "time": entry.get("ts") / 1e6, **common}
 
 
-def _checked(record: object, where: str) -> Record:
-    """``record`` if it is a JSON object, and a span has a name and
-    numeric ``start``/``end``; otherwise a :class:`ValidationError`."""
+def _finite(value: object) -> bool:
+    """A JSON number (not a bool) that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _is_id(value: object) -> bool:
+    return value is None or (isinstance(value, int) and not isinstance(value, bool))
+
+
+def _object(record: object, where: str) -> Record:
     if not isinstance(record, dict):
         raise ValidationError(
             f"{where}: expected a JSON object, got {type(record).__name__}"
         )
-    if record.get("type") == SPAN and not (
+    return record
+
+
+def _check_record(record: Record, where: str) -> None:
+    """A span or event must carry what ``repro trace`` reads of it.
+
+    A name string; finite ``start``/``end`` (a span) or ``time`` (an
+    event); integer or null ``id``/``parent``; object or null ``attrs``.
+    Records of other types pass as they are.
+    """
+    kind = record.get("type")
+    if kind not in (SPAN, EVENT):
+        return
+    times = ("start", "end") if kind == SPAN else ("time",)
+    if not (
         isinstance(record.get("name"), str)
-        and all(isinstance(record.get(k), (int, float)) for k in ("start", "end"))
+        and all(_finite(record.get(key)) for key in times)
     ):
         raise ValidationError(
-            f"{where}: a span needs a name and numeric start/end"
+            f"{where}: a {kind} needs a name and finite numeric "
+            f"{'/'.join(times)}"
         )
-    return record
+    if not (_is_id(record.get("id")) and _is_id(record.get("parent"))):
+        raise ValidationError(f"{where}: id and parent must be integers or null")
+    if not isinstance(record.get("attrs", {}), (dict, type(None))):
+        raise ValidationError(f"{where}: attrs must be an object or null")
+
+
+def _check_entry(entry: Record, where: str) -> None:
+    """A Chrome ``X``/``i`` entry must convert to a valid record."""
+    if entry.get("ph") not in ("X", "i"):
+        return
+    stamps = ("ts", "dur") if entry["ph"] == "X" else ("ts",)
+    if not all(_finite(entry.get(key)) for key in stamps):
+        raise ValidationError(
+            f"{where}: needs finite numeric {'/'.join(stamps)}"
+        )
+    if not isinstance(entry.get("args", {}), (dict, type(None))):
+        raise ValidationError(f"{where}: args must be an object or null")
+
+
+def _drop_counts(meta: object, where: str) -> Tuple[int, Dict[str, int]]:
+    """The ``dropped`` count and per-kind breakdown of a meta record."""
+    meta = _object(meta, where)
+    dropped = meta.get("dropped", 0)
+    by_kind = meta.get("dropped_by_kind") or {}
+
+    def count(value: object) -> bool:
+        return _is_id(value) and value is not None and value >= 0
+
+    if not (
+        count(dropped)
+        and isinstance(by_kind, dict)
+        and all(count(v) for v in by_kind.values())
+    ):
+        raise ValidationError(f"{where}: malformed dropped count")
+    return dropped, dict(by_kind)
 
 
 def read_trace(path: str) -> Dict[str, object]:
@@ -485,7 +660,10 @@ def read_trace(path: str) -> Dict[str, object]:
     Returns ``{"records": [...], "dropped": int, "dropped_by_kind": {...}}``
     with records in the original buffer order.  The format is sniffed
     from the content: a JSON object with ``traceEvents`` is Chrome
-    format, anything else is JSONL.
+    format, anything else is JSONL.  A file loads exactly as written or
+    raises :class:`ValidationError`: every span and event must carry a
+    name, finite times, integer or null ids and object attributes, and
+    the drop counts must be non-negative integers.
     """
     content = read_text(path)
     stripped = content.lstrip()
@@ -502,12 +680,11 @@ def read_trace(path: str) -> Dict[str, object]:
         records = []
         for index, entry in enumerate(entries):
             where = f"{path}: traceEvents[{index}]"
-            entry = _checked(entry, where)
-            try:
-                record = _chrome_to_record(entry)
-            except (TypeError, ValueError):
-                raise ValidationError(f"{where}: malformed trace event") from None
+            entry = _object(entry, where)
+            _check_entry(entry, where)
+            record = _chrome_to_record(entry)
             if record is not None:
+                _check_record(record, where)
                 records.append(record)
         meta, where = data.get("otherData") or {}, f"{path}: otherData"
     else:
@@ -522,19 +699,14 @@ def read_trace(path: str) -> Dict[str, object]:
                 raise ValidationError(
                     f"{path} is not a valid trace file: {exc}"
                 ) from None
-            record = _checked(record, f"{path}:{lineno}")
+            record = _object(record, f"{path}:{lineno}")
             if record.get("type") == META:
                 meta, where = record, f"{path}:{lineno}"
                 continue
+            _check_record(record, f"{path}:{lineno}")
             records.append(record)
-    try:
-        return {
-            "records": records,
-            "dropped": int(meta.get("dropped", 0)),
-            "dropped_by_kind": dict(meta.get("dropped_by_kind") or {}),
-        }
-    except (AttributeError, TypeError, ValueError):
-        raise ValidationError(f"{where}: malformed dropped count") from None
+    dropped, by_kind = _drop_counts(meta, where)
+    return {"records": records, "dropped": dropped, "dropped_by_kind": by_kind}
 
 
 # --------------------------------------------------------------------- #
@@ -556,6 +728,7 @@ __all__ = [
     "EVENT",
     "META",
     "Record",
+    "OffRingSource",
     "Tracer",
     "read_trace",
     "TRACER",

@@ -7,16 +7,22 @@ import numpy as np
 import pytest
 
 from repro.algorithms import SRA
-from repro.distributed import DistributedSRA, MessageKind, RetryPolicy
+from repro.distributed import (
+    DistributedSRA,
+    MessageKind,
+    MessageLog,
+    RetryPolicy,
+)
 from repro.distributed.node import LeaderNode, SiteNode
 from repro.errors import (
     ProtocolError,
     RetryExhaustedError,
     ValidationError,
 )
-from repro.obs.causal import SEND_EVENT
+from repro.obs.causal import RECV_EVENT, SEND_EVENT
 from repro.runtime import scoped_ledger, scoped_tracer
 from repro.sim.faults import CrashWindow, FaultPlan, MessageFaultSpec
+from repro.utils.tracing import DEFAULT_CAPACITY
 from repro.workload import WorkloadSpec, generate_instance
 
 #: wall-clock fields of a trace record; everything else is deterministic
@@ -222,6 +228,89 @@ class TestHardenedProtocol:
             if m.kind is MessageKind.STATS and m.receiver == 3
         ]
         assert len(resync_stats) >= 2  # initial distribution + resync
+
+
+def _stamp_onto_ring(log, tracer, first, lost):
+    """Record a send call the way the log did before it kept columns:
+    ``msg.send``/``msg.recv`` events appended to the tracer's ring as the
+    messages go out, Lamport clocks kept on the way."""
+    clocks = log.__dict__.setdefault("_reference_clocks", {})
+    for row, was_lost in zip(range(first, first + len(lost)), lost):
+        src, dst = log._sender[row], log._receiver[row]
+        kind = list(MessageKind)[log._kind[row]].value
+        sent = clocks.get(src, 0) + 1
+        clocks[src] = sent
+        flow = f"{src}->{dst}#{row}"
+        tracer.event(
+            SEND_EVENT, kind=kind, src=src, dst=dst, seq=row, clock=sent,
+            size=float(log._size[row]), lost=bool(was_lost), flow=flow,
+            flow_phase="s",
+        )
+        if was_lost:
+            continue
+        received = max(clocks.get(dst, 0), sent) + 1
+        clocks[dst] = received
+        tracer.event(
+            RECV_EVENT, kind=kind, src=src, dst=dst, seq=row,
+            clock=received, flow=flow, flow_phase="f",
+        )
+
+
+class TestTracedChaos:
+    """The ``dsra-chaos`` run traced at the default ring capacity."""
+
+    PLAN = FaultPlan(
+        crashes=(CrashWindow(site=1, start=0.2, end=0.7),),
+        messages=MessageFaultSpec(loss=0.1, duplicate=0.05),
+        seed=9,
+    )
+
+    @staticmethod
+    def _observed(report):
+        return (
+            report.scheme.matrix.tobytes(),
+            report.summary(),
+            report.leader_history,
+            [
+                (m.sender, m.receiver, m.kind, m.size_units, m.payload)
+                for m in report.log.messages
+            ],
+        )
+
+    def test_messages_stay_off_the_ring(self, monkeypatch):
+        instance = generate_instance(
+            WorkloadSpec(40, 200, update_ratio=0.01, capacity_ratio=2.0),
+            rng=7,
+        )
+        protocol = DistributedSRA(
+            fault_plan=self.PLAN, retry=RetryPolicy(max_attempts=5)
+        )
+        untraced = protocol.run(instance)
+        with scoped_tracer() as tracer:
+            report = protocol.run(instance)
+            records = tracer.records()
+        assert tracer.capacity == DEFAULT_CAPACITY
+        assert tracer.dropped == 0
+        sends = [r for r in records if r["name"] == SEND_EVENT]
+        assert len(sends) == report.log.total_messages > DEFAULT_CAPACITY / 2
+        assert self._observed(report) == self._observed(untraced)
+
+        # the same run with every message on a ring large enough to keep
+        # them all, as the log recorded them before
+        monkeypatch.setattr(MessageLog, "_stamp", _stamp_onto_ring)
+        with scoped_tracer(capacity=1_000_000) as ring_tracer:
+            protocol.run(instance)
+            ring_records = ring_tracer.records()
+        assert ring_tracer.dropped == 0
+        assert len(ring_records) == len(records) > DEFAULT_CAPACITY
+
+        def stripped(rs):
+            return [
+                {k: v for k, v in r.items() if k not in _CLOCK_FIELDS + ("pid",)}
+                for r in rs
+            ]
+
+        assert stripped(records) == stripped(ring_records)
 
 
 class TestNodes:

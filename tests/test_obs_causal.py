@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.distributed import DistributedSRA
@@ -17,7 +19,7 @@ from repro.obs.causal import (
     monitor_rounds,
 )
 from repro.runtime import scoped_tracer
-from repro.sim import CrashWindow, FaultPlan, LinkDegradation
+from repro.sim import CrashWindow, FaultPlan, LinkDegradation, MessageFaultSpec
 from repro.utils.tracing import Tracer
 from repro.workload import WorkloadSpec, generate_instance
 
@@ -223,3 +225,26 @@ def test_causal_sections_accepts_trace_path(dsra_trace, tmp_path):
 def test_causal_sections_empty_trace_hint():
     report = causal_sections([])
     assert "no message events" in report
+
+
+def test_chrome_flow_arrows_pair_for_a_lossy_run(instance, tmp_path):
+    plan = FaultPlan(messages=MessageFaultSpec(loss=0.2, duplicate=0.1), seed=5)
+    with scoped_tracer() as tracer:
+        DistributedSRA(fault_plan=plan).run(instance)
+        path = str(tmp_path / "dsra.chrome.json")
+        tracer.write(path, format="chrome")
+        jsonl = str(tmp_path / "dsra.trace.jsonl")
+        tracer.write(jsonl)
+    entries = json.load(open(path, encoding="utf-8"))["traceEvents"]
+    flows = [e for e in entries if e.get("cat") == "flow"]
+    starts = {e["id"] for e in flows if e["ph"] == "s"}
+    finishes = [e["id"] for e in flows if e["ph"] == "f"]
+    sends = sum(1 for e in entries if e.get("name") == SEND_EVENT
+                and e.get("ph") == "i")
+    recvs = sum(1 for e in entries if e.get("name") == RECV_EVENT
+                and e.get("ph") == "i")
+    assert len(starts) == sends > recvs == len(finishes)  # some were lost
+    assert set(finishes) <= starts
+    assert len(set(finishes)) == len(finishes)
+    # both exports hold the same happens-before DAG
+    assert build_dag(path).canonical() == build_dag(jsonl).canonical()

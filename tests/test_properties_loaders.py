@@ -1,14 +1,15 @@
 """Loader fuzzing: a corrupted input file is a typed error.
 
 Each example saves a small instance (or a scheme with its instance, a
-fault plan, a placement ledger, a shrink artifact), overwrites one field of the file —
+fault plan, a placement ledger, a shrink artifact, a JSONL or Chrome
+trace), overwrites one field of the file —
 whole, or one element of it — with a huge int, +-inf, NaN, a fraction, a
 ragged list, a value of the wrong type or null, and loads it back.  The
 load must either raise a :class:`~repro.errors.ReproError` or return
 exactly the values the file holds: any other exception, or a value
 silently altered on the way in (a fractional primary truncated to an
 int), fails.  A ledger that loads must also render under ``repro
-explain``.
+explain``, and a trace under ``repro trace``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import io
 import json
 import math
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -26,9 +28,11 @@ from repro.cli import main
 from repro.conformance import default_corpus
 from repro.conformance.shrink import ShrinkResult, load_artifact, write_artifact
 from repro.core import ReplicationScheme
-from repro.errors import ReproError
+from repro.distributed import DistributedSRA
+from repro.errors import ReproError, ValidationError
 from repro.io import load_instance, load_scheme, save_instance, save_scheme
 from repro.obs.ledger import PlacementLedger, read_ledger, render_explanation
+from repro.runtime import scoped_tracer
 from repro.sim.faults import (
     CrashWindow,
     FaultPlan,
@@ -37,6 +41,7 @@ from repro.sim.faults import (
     PartitionWindow,
     load_fault_plan,
 )
+from repro.utils.tracing import FORMAT_CHROME, read_trace
 from repro.workload import WorkloadSpec, generate_instance
 
 _INSTANCE_FIELDS = ("cost", "sizes", "capacities", "reads", "writes", "primaries")
@@ -348,3 +353,150 @@ def test_damaged_artifact_replay_is_a_clean_error(
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+# --------------------------------------------------------------------- #
+# trace files
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def trace_texts(tmp_path_factory):
+    """The JSONL and Chrome text of one small traced run.
+
+    A lossy DSRA run supplies spans, protocol events and message
+    records; the hand-made records are the ones ``repro trace`` renders
+    tables from.
+    """
+    instance = generate_instance(WorkloadSpec(num_sites=4, num_objects=5), rng=3)
+    plan = FaultPlan(messages=MessageFaultSpec(loss=0.2), seed=1)
+    tmp = tmp_path_factory.mktemp("trace")
+    with scoped_tracer() as tracer:
+        DistributedSRA(fault_plan=plan).run(instance)
+        with tracer.span("gra.generation", index=0, best=1.5, mean=2.25):
+            with tracer.span("cost.batch", rows=4):
+                tracer.event("cost.delta", priced=10, applied=2, chained=3)
+        tracer.event("agra.allocate", obj=1, site=2, benefit=3.5)
+        tracer.write(str(tmp / "trace.jsonl"))
+        tracer.write(str(tmp / "trace.json"), format=FORMAT_CHROME)
+    return {
+        fmt: (tmp / name).read_text()
+        for fmt, name in (("jsonl", "trace.jsonl"), ("chrome", "trace.json"))
+    }
+
+
+def _corrupt(draw, holder) -> None:
+    """Delete or overwrite one field of ``holder``, maybe one level down."""
+    key = draw(st.sampled_from(sorted(holder)))
+    if isinstance(holder[key], dict) and holder[key] and draw(st.booleans()):
+        holder, key = holder[key], draw(st.sampled_from(sorted(holder[key])))
+    if draw(st.booleans()):
+        del holder[key]
+    else:
+        mutation = draw(st.sampled_from(MUTATIONS))
+        holder[key] = _bad_value(draw, mutation, holder[key])
+
+
+@st.composite
+def mutated_jsonl(draw, text):
+    lines = [json.loads(line) for line in text.splitlines()]
+    target = draw(st.integers(0, 9))
+    if target < 3:  # the meta line and its drop counts
+        _corrupt(draw, lines[0])
+        return lines
+    index = draw(st.integers(0, len(lines) - 1))
+    if target == 3:  # the whole line is not a record
+        lines[index] = _bad_value(draw, draw(st.sampled_from(MUTATIONS)), 1)
+    else:
+        _corrupt(draw, lines[index])
+    return lines
+
+
+@st.composite
+def mutated_chrome(draw, text):
+    document = json.loads(text)
+    entries = document["traceEvents"]
+    if draw(st.integers(0, 9)) < 3:  # the drop counts
+        _corrupt(draw, document["otherData"])
+    else:
+        _corrupt(draw, entries[draw(st.integers(0, len(entries) - 1))])
+    return document
+
+
+def _expected_jsonl(lines):
+    """What a JSONL trace holds: its records as written, and the counts."""
+    meta = next((r for r in lines if r.get("type") == "meta"), {})
+    return {
+        "records": [r for r in lines if r.get("type") != "meta"],
+        "dropped": meta.get("dropped", 0),
+        "dropped_by_kind": meta.get("dropped_by_kind") or {},
+    }
+
+
+def _number(value):
+    assert isinstance(value, (int, float)) and not isinstance(value, bool)
+    return value
+
+
+def _expected_chrome(document):
+    """What a Chrome trace holds: each ``X``/``i`` entry as a record."""
+    records = []
+    for entry in document["traceEvents"]:
+        if entry.get("ph") not in ("X", "i"):
+            continue
+        args = dict(entry.get("args") or {})
+        if isinstance(args.get("attrs"), dict):
+            ids = {"id": args.get("id"), "parent": args.get("parent")}
+            attrs = args["attrs"]
+        else:  # the pre-namespacing layout: attributes flat in args
+            ids = {"id": args.pop("id", None), "parent": args.pop("parent", None)}
+            attrs = args
+        record = {
+            **ids, "name": entry.get("name"), "pid": entry.get("pid", 0),
+            "attrs": attrs,
+        }
+        start = _number(entry.get("ts")) / 1e6
+        if entry["ph"] == "X":
+            end = start + _number(entry.get("dur")) / 1e6
+            record.update(type="span", start=start, end=end)
+        else:
+            record.update(type="event", time=start)
+        records.append(record)
+    meta = document.get("otherData") or {}
+    return {
+        "records": records,
+        "dropped": meta.get("dropped", 0),
+        "dropped_by_kind": meta.get("dropped_by_kind") or {},
+    }
+
+
+def _dumped(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "chrome"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupted_trace_is_rejected_or_loaded_exactly(trace_texts, fmt, data):
+    if fmt == "jsonl":
+        lines = data.draw(mutated_jsonl(trace_texts[fmt]))
+        text = "".join(json.dumps(line) + "\n" for line in lines)
+    else:
+        document = data.draw(mutated_chrome(trace_texts[fmt]))
+        text = json.dumps(document)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace"
+        path.write_text(text)
+        try:
+            loaded = read_trace(str(path))
+        except ValidationError:
+            loaded = None
+        # what loads, `repro trace` renders; what does not is a clean error
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(["trace", str(path)])
+    if loaded is None:
+        assert status == 1
+        assert err.getvalue().startswith("error: ")
+        return
+    assert status == 0, err.getvalue()
+    expected = _expected_jsonl(lines) if fmt == "jsonl" else _expected_chrome(document)
+    assert _dumped(loaded) == _dumped(expected)

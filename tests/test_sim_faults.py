@@ -369,6 +369,77 @@ class TestMessageFaults:
             faults.judge()
         assert faults.losses == 5
 
+    @staticmethod
+    def _per_call_stream(spec, seed, count):
+        """The reference judge: one ``random(2)`` (then, with a delay,
+        one exponential) draw per message, straight off the generator."""
+        rng = np.random.default_rng(seed)
+        fates = []
+        for _ in range(count):
+            draws = rng.random(2)
+            delay = 0.0
+            if spec.delay_mean > 0.0:
+                delay = float(rng.exponential(spec.delay_mean))
+            fates.append(
+                (bool(draws[0] < spec.loss), bool(draws[1] < spec.duplicate),
+                 delay)
+            )
+        return fates
+
+    @staticmethod
+    def _totals(fates):
+        return (
+            sum(f[0] for f in fates),
+            sum(f[1] for f in fates),
+            sum((f[2] for f in fates), 0.0),
+        )
+
+    @pytest.mark.parametrize("delay_mean", [0.0, 0.5])
+    def test_judge_matches_per_call_draws_across_blocks(self, delay_mean):
+        # 2,048 fates per block: 7,000 messages cross three boundaries
+        spec = MessageFaultSpec(loss=0.3, duplicate=0.2, delay_mean=delay_mean)
+        reference = self._per_call_stream(spec, 11, 7000)
+        faults = MessageFaults(spec, seed=11)
+        fates = [faults.judge() for _ in range(7000)]
+        assert fates == reference
+        assert (faults.losses, faults.duplicates, faults.total_delay) == (
+            self._totals(reference)
+        )
+
+    @pytest.mark.parametrize("delay_mean", [0.0, 0.5])
+    def test_judge_many_matches_per_call_draws(self, delay_mean):
+        spec = MessageFaultSpec(loss=0.3, duplicate=0.2, delay_mean=delay_mean)
+        reference = self._per_call_stream(spec, 5, 20000)
+        faults = MessageFaults(spec, seed=5)
+        sizes = np.random.default_rng(0).integers(0, 600, size=40)
+        lost, duplicated = [], []
+        for size in sizes:
+            if size % 3 == 0:  # single judges interleave with batches
+                fate = faults.judge()
+                lost.append(fate[0])
+                duplicated.append(fate[1])
+            else:
+                batch = faults.judge_many(int(size))
+                lost += batch[0]
+                duplicated += batch[1]
+        count = len(lost)
+        assert 3 * 2048 < count <= len(reference)
+        assert lost == [f[0] for f in reference[:count]]
+        assert duplicated == [f[1] for f in reference[:count]]
+        assert (faults.losses, faults.duplicates, faults.total_delay) == (
+            self._totals(reference[:count])
+        )
+
+    def test_inactive_spec_leaves_the_generator_untouched(self):
+        faults = MessageFaults(MessageFaultSpec(), seed=3)
+        before = faults._rng.bit_generator.state
+        assert faults.judge_many(50) == ([False] * 50, [False] * 50)
+        assert faults.judge() == (False, False, 0.0)
+        assert faults._rng.bit_generator.state == before
+        assert (faults.losses, faults.duplicates, faults.total_delay) == (
+            0, 0, 0.0
+        )
+
     def test_protocol_faults_round_clock(self):
         plan = FaultPlan(crashes=(CrashWindow(site=1, start=2.0, end=4.0),))
         clock = ProtocolFaults(plan, num_sites=3)

@@ -431,3 +431,80 @@ def test_flow_ids_are_distinct_per_flow_key(tmp_path):
     first, second, recv = flows
     assert first["id"] != second["id"]
     assert recv["id"] == first["id"]
+
+
+# --------------------------------------------------------------------- #
+# off-ring record sources
+# --------------------------------------------------------------------- #
+class _Points:
+    """A minimal off-ring source: one event per :meth:`add`."""
+
+    def __init__(self, tracer: Tracer) -> None:
+        self.tracer = tracer
+        self.rows = []
+        tracer.attach(self)
+
+    def add(self, name: str) -> None:
+        record_id, parent, now, position = self.tracer.stamp(1)
+        self.rows.append((position, {
+            "type": EVENT, "id": record_id, "parent": parent, "name": name,
+            "time": now, "pid": self.tracer.pid, "attrs": {},
+        }))
+
+    def entries(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def test_off_ring_records_merge_in_recording_order(tmp_path):
+    tracer = Tracer(capacity=2)
+    points = _Points(tracer)
+    with tracer.span("outer") as outer:
+        points.add("a")
+        tracer.event("ring.1")
+        points.add("b")
+        points.add("c")
+        tracer.event("ring.2")
+    points.add("d")
+    names = [r["name"] for r in tracer.records()]
+    # the 2-slot ring dropped ring.1; no off-ring record is ever dropped
+    assert names == ["a", "b", "c", "ring.2", "outer", "d"]
+    assert tracer.dropped == 1 and tracer.dropped_by_kind == {"ring": 1}
+    assert len(tracer) == 6
+    by_name = {r["name"]: r for r in tracer.records()}
+    assert by_name["b"]["parent"] == outer.id
+    assert by_name["d"]["parent"] is None
+    # ids follow the order the records were made in
+    ids = [by_name[n]["id"] for n in ("a", "b", "c", "d")]
+    assert ids == sorted(ids)
+    for fmt in (FORMAT_JSONL, FORMAT_CHROME):
+        path = str(tmp_path / f"t.{fmt}")
+        tracer.write(path, format=fmt)
+        assert [r["name"] for r in read_trace(path)["records"]] == names
+
+
+def test_snapshot_merge_keeps_off_ring_records_off_the_ring():
+    worker = Tracer(capacity=4)
+    points = _Points(worker)
+    with worker.span("task"):
+        for i in range(5):
+            points.add(f"p{i}")
+    snapshot = worker.snapshot()
+    assert snapshot["off_ring"] == [0, 1, 2, 3, 4]
+    parent = Tracer(capacity=2)
+    with parent.span("root") as root:
+        parent.merge_snapshot(snapshot, parent_id=root.id)
+    names = [r["name"] for r in parent.records()]
+    assert names == ["p0", "p1", "p2", "p3", "p4", "task", "root"]
+    assert parent.dropped == 0
+    assert len(parent) == 7
+
+
+def test_reset_forgets_off_ring_sources():
+    tracer = Tracer()
+    _Points(tracer).add("a")
+    tracer.reset()
+    assert tracer.records() == [] and len(tracer) == 0
+    assert tracer.last_source is None
