@@ -17,7 +17,7 @@ protected), elitism, negative-fitness chromosomes reset to primary-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from repro.algorithms.gra.operators import single_point_crossover
 from repro.algorithms.gra.selection import stochastic_remainder_selection
 from repro.core.cost import CostModel
 from repro.core.fitness import fitness_from_costs
-from repro.core.incremental import ObjectColumnState
 from repro.core.problem import DRPInstance
 from repro.errors import ValidationError
 from repro.utils.rng import SeedLike, as_generator
@@ -81,11 +80,9 @@ def run_micro_ga(
         non-random half of the initial population (cycled if fewer than
         needed).
 
-    Every chromosome carries an
-    :class:`~repro.core.incremental.ObjectColumnState`.  Pass-through
-    (un-crossed, possibly mutated) pool members are priced as delta
-    chains off a clone of their parent's state; crossover children mix
-    two parents and get a fresh state.
+    The population and each generation's pool are ``(P, M)`` boolean
+    stacks, each priced by one :meth:`CostModel.object_costs_batch`
+    call.
     """
     gen = as_generator(rng)
     m = instance.num_sites
@@ -103,22 +100,23 @@ def run_micro_ga(
     v_prime = model.primary_only_object_cost(obj)
     evaluations = 0
 
-    def fitness_of(
-        column: np.ndarray,
-        state: ObjectColumnState,
-    ) -> Tuple[float, np.ndarray, Optional[ObjectColumnState]]:
-        """Fitness with the paper's negative reset to primary-only.
+    def price(columns: np.ndarray) -> np.ndarray:
+        """Fitness of every row, with the paper's negative reset.
 
-        The column is priced by chaining ``state``'s two-nearest
-        structure to it.  A negative-fitness reset discards the state —
-        it described the pre-reset column.
+        A row with negative fitness is reset in place to the
+        primary-only column, with fitness 0.
         """
         nonlocal evaluations
-        evaluations += 1
-        f = fitness_from_costs(v_prime, state.evaluate(column))
-        if f < 0.0:
-            return 0.0, _primary_only_column(instance, obj), None
-        return f, column, state
+        evaluations += len(columns)
+        costs = model.object_costs_batch(obj, columns)
+        fitness = np.empty(len(columns))
+        for i, cost in enumerate(costs.tolist()):
+            f = fitness_from_costs(v_prime, cost)
+            if f < 0.0:
+                f = 0.0
+                columns[i] = _primary_only_column(instance, obj)
+            fitness[i] = f
+        return fitness
 
     # ------------------------------------------------------------------ #
     # initial population: half random, half from previous GRA solutions,
@@ -126,123 +124,78 @@ def run_micro_ga(
     # ------------------------------------------------------------------ #
     pop_size = params.population_size
     num_random = int(round(params.random_init_fraction * pop_size))
-    population: List[np.ndarray] = []
+    initial: List[np.ndarray] = []
     for _ in range(num_random):
         column = gen.random(m) < 0.5
         column[primary] = True
-        population.append(column)
-    seeds = [np.asarray(c, dtype=bool).copy() for c in seed_columns]
+        initial.append(column)
+    seeds = [np.asarray(c, dtype=bool) for c in seed_columns]
     idx = 0
-    while len(population) < pop_size:
+    while len(initial) < pop_size:
         if seeds:
             column = seeds[idx % len(seeds)].copy()
             idx += 1
         else:
             column = gen.random(m) < 0.5
         column[primary] = True
-        population.append(column)
-    population[-1] = current_column.copy()
+        initial.append(column)
+    initial[-1] = current_column
+    population = np.stack(initial)
+    fitness = price(population)
 
-    fitness: List[float] = []
-    states: List[Optional[ObjectColumnState]] = []
-    for i, column in enumerate(population):
-        f, column, state = fitness_of(
-            column, ObjectColumnState(model, obj, column)
-        )
-        population[i] = column
-        fitness.append(f)
-        states.append(state)
-
-    elite_f = max(fitness)
     elite_idx = int(np.argmax(fitness))
+    elite_f = float(fitness[elite_idx])
     elite = population[elite_idx].copy()
-    elite_state = states[elite_idx]
 
     # ------------------------------------------------------------------ #
     # generations
     # ------------------------------------------------------------------ #
     for generation in range(params.generations):
         # Crossover: random pairing; untouched parents pass through
-        # (regular sampling space).  Pass-through members remember their
-        # parent slot so evaluation can delta-chain off its column state;
-        # crossover children mix two parents and are priced fresh.
+        # (regular sampling space), so pool row ``pos`` starts as a copy
+        # of parent ``order[pos]``.
         order = gen.permutation(pop_size)
-        pool: List[np.ndarray] = []
-        pool_parents: List[Optional[int]] = []
+        pool = population[order]
         for pos in range(0, pop_size - 1, 2):
-            ia = int(order[pos])
-            ib = int(order[pos + 1])
-            a = population[ia]
-            b = population[ib]
             if gen.random() < params.crossover_rate:
-                child_a, child_b = single_point_crossover(m, a, b, gen)
-                child_a[primary] = True
-                child_b[primary] = True
-                pool.append(child_a)
-                pool.append(child_b)
-                pool_parents.extend((None, None))
-            else:
-                pool.append(a.copy())
-                pool.append(b.copy())
-                pool_parents.extend((ia, ib))
-        if pop_size % 2 == 1:
-            ia = int(order[-1])
-            pool.append(population[ia].copy())
-            pool_parents.append(ia)
+                pool[pos], pool[pos + 1] = single_point_crossover(
+                    m, pool[pos], pool[pos + 1], gen
+                )
+                pool[pos : pos + 2, primary] = True
 
-        # Mutation: in-place bit flips on the pool, primary bit protected.
+        # Mutation: bit flips on the pool, primary bit protected.  One
+        # (P, M) draw is the same stream as one length-M draw per row.
         if params.mutation_rate > 0.0:
-            for column in pool:
-                flips = gen.random(m) < params.mutation_rate
-                flips[primary] = False
-                column[flips] = ~column[flips]
+            flips = gen.random(pool.shape) < params.mutation_rate
+            flips[:, primary] = False
+            pool ^= flips
 
-        pool_fitness: List[float] = []
-        pool_states: List[Optional[ObjectColumnState]] = []
-        for i, column in enumerate(pool):
-            parent_idx = pool_parents[i]
-            if parent_idx is not None and states[parent_idx] is not None:
-                # Chain: clone the parent's state (selection shares state
-                # objects between slots) and apply the diff.
-                state = states[parent_idx].clone()
-            else:
-                state = ObjectColumnState(model, obj, column)
-            f, column, state = fitness_of(column, state)
-            pool[i] = column
-            pool_fitness.append(f)
-            pool_states.append(state)
-
-        chosen = stochastic_remainder_selection(
-            np.asarray(pool_fitness), pop_size, gen
-        )
-        population = [pool[i].copy() for i in chosen]
-        fitness = [pool_fitness[i] for i in chosen]
-        states = [pool_states[i] for i in chosen]
+        pool_fitness = price(pool)
+        chosen = stochastic_remainder_selection(pool_fitness, pop_size, gen)
+        population = pool[chosen]
+        fitness = pool_fitness[chosen]
 
         best_idx = int(np.argmax(fitness))
         if fitness[best_idx] > elite_f:
-            elite_f = fitness[best_idx]
+            elite_f = float(fitness[best_idx])
             elite = population[best_idx].copy()
-            elite_state = states[best_idx]
         if (generation + 1) % params.elite_interval == 0:
             worst = int(np.argmin(fitness))
-            population[worst] = elite.copy()
+            population[worst] = elite
             fitness[worst] = elite_f
-            states[worst] = elite_state
 
     # Guarantee the elite is in the final ranking.
-    if elite_f > max(fitness):
+    if elite_f > fitness.max():
         worst = int(np.argmin(fitness))
-        population[worst] = elite.copy()
+        population[worst] = elite
         fitness[worst] = elite_f
 
-    ranked = sorted(
-        zip(fitness, population), key=lambda item: item[0], reverse=True
-    )
+    # Stable descending sort: equal fitnesses keep their population order.
+    ranked = np.argsort(-fitness, kind="stable")
     return MicroGAResult(
         obj=obj,
-        columns=[column for _, column in ranked],
-        fitnesses=[f for f, _ in ranked],
+        columns=list(population[ranked]),
+        fitnesses=fitness[ranked].tolist(),
         generations=params.generations,
         evaluations=evaluations,
     )

@@ -23,7 +23,7 @@ import numpy as np
 from repro.algorithms.gra.population import Population
 from repro.core.benefit import deallocation_estimates_for_site
 from repro.core.problem import DRPInstance
-from repro.core.scheme import CAPACITY_TOLERANCE, ReplicationScheme
+from repro.core.scheme import CAPACITY_TOLERANCE
 from repro.errors import ReproError, ValidationError
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.tracing import current_tracer
@@ -38,34 +38,35 @@ def repair_capacity(
 
     ``protected_obj`` (the freshly transcribed object) is dropped only as
     a last resort — when a site cannot otherwise satisfy its constraint.
-    Returns the repaired matrix (same array, modified in place).
+    Returns the repaired matrix (same array, modified in place); an
+    unrepairable site raises :class:`~repro.errors.ReproError` and
+    leaves ``matrix`` untouched.
     """
     # Fast path: most transcriptions do not overflow any site.
-    loads = np.asarray(matrix, dtype=float) @ instance.sizes
-    if np.all(loads <= instance.capacities + CAPACITY_TOLERANCE):
-        return matrix
-    scheme = ReplicationScheme.from_matrix(
-        instance, matrix, enforce_capacity=False
-    )
+    sizes = instance.sizes
     capacities = instance.capacities
-    for site in np.nonzero(loads > capacities + CAPACITY_TOLERANCE)[0]:
-        site = int(site)
+    loads = np.asarray(matrix, dtype=float) @ sizes
+    over = np.flatnonzero(loads > capacities + CAPACITY_TOLERANCE)
+    if over.size == 0:
+        return matrix
+    repaired = np.array(matrix, dtype=bool)
+    tracer = current_tracer()
+    for site in over.tolist():
+        limit = capacities[site] + CAPACITY_TOLERANCE
         # Dropping an object at this site changes only that object's own
         # degree, so the remaining candidates' estimates stay valid:
         # compute once, drop in ascending order until the site fits.
-        estimates = deallocation_estimates_for_site(instance, scheme, site)
+        estimates = deallocation_estimates_for_site(instance, repaired, site)
         if protected_obj is not None:
             estimates[protected_obj] = np.nan
-        order = [
-            int(k) for k in np.argsort(estimates)
-            if not np.isnan(estimates[int(k)])
-        ]
-        used = float(scheme.used_storage()[site])
-        tracer = current_tracer()
-        for victim in order:
-            if used <= capacities[site] + CAPACITY_TOLERANCE:
+        order = np.argsort(estimates)
+        order = order[~np.isnan(estimates[order])]
+        # Drops at other sites leave this row's load as computed above.
+        used = float(loads[site])
+        for victim in order.tolist():
+            if used <= limit:
                 break
-            scheme.drop_replica(site, victim)
+            repaired[site, victim] = False
             if tracer.enabled:
                 # The Eq. 6 deallocation decision: lowest estimated
                 # replica value goes first.
@@ -75,14 +76,14 @@ def repair_capacity(
                     obj=victim,
                     estimate=float(estimates[victim]),
                 )
-            used -= float(instance.sizes[victim])
-        if used > capacities[site] + CAPACITY_TOLERANCE:
+            used -= float(sizes[victim])
+        if used > limit:
             if (
                 protected_obj is not None
-                and scheme.holds(site, protected_obj)
+                and repaired[site, protected_obj]
                 and int(instance.primaries[protected_obj]) != site
             ):
-                scheme.drop_replica(site, protected_obj)
+                repaired[site, protected_obj] = False
                 if tracer.enabled:
                     tracer.event(
                         "agra.deallocate",
@@ -91,13 +92,13 @@ def repair_capacity(
                         estimate=None,  # protected: dropped as last resort
                         last_resort=True,
                     )
-                used -= float(instance.sizes[protected_obj])
-            if used > capacities[site] + CAPACITY_TOLERANCE:
+                used -= float(sizes[protected_obj])
+            if used > limit:
                 raise ReproError(
                     f"site {site} cannot be repaired: only primary copies "
                     "remain but capacity is still exceeded"
                 )
-    matrix[:, :] = scheme.matrix
+    matrix[:, :] = repaired
     return matrix
 
 

@@ -11,12 +11,9 @@ while AGRA uses a regular sampling space for speed.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.utils.rng import weighted_choice
 
 
 def stochastic_remainder_selection(
@@ -32,10 +29,17 @@ def stochastic_remainder_selection(
     replacement of a wheel sector once it wins (classic stochastic
     remainder sampling).  An all-zero fitness pool degenerates to uniform
     random selection.
+
+    Each wheel spin draws one ``rng.random()`` and inverts the wheel's
+    normalised cumulative sum, the draw and the arithmetic of
+    ``rng.choice(n, p=w / w.sum())``, so a seed picks the same indices
+    and leaves the generator in the same state.
     """
     fitness = np.asarray(fitness, dtype=float)
     if fitness.ndim != 1 or fitness.size == 0:
         raise ValidationError("fitness must be a non-empty 1-D array")
+    if not np.all(np.isfinite(fitness)):
+        raise ValidationError("fitness must be finite (no NaN or infinity)")
     if np.any(fitness < 0):
         raise ValidationError(
             "fitness must be non-negative (reset negative chromosomes first)"
@@ -49,21 +53,31 @@ def stochastic_remainder_selection(
     if total <= 0.0:
         return rng.integers(fitness.size, size=count).astype(np.int64)
 
-    expected = count * fitness / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = count * fitness / total
+    if not np.all(np.isfinite(expected)):
+        raise ValidationError(
+            f"fitness too large: {count} x fitness overflows a float"
+        )
     integral = np.floor(expected).astype(np.int64)
-    selected: List[int] = []
-    for idx, copies in enumerate(integral):
-        selected.extend([idx] * int(copies))
+    selected = np.repeat(np.arange(fitness.size, dtype=np.int64), integral)
 
-    remaining = count - len(selected)
+    winners = []
     fractional = expected - integral
-    for _ in range(remaining):
-        winner = weighted_choice(fractional, rng)
-        selected.append(winner)
+    for _ in range(count - selected.size):
+        wheel = fractional.sum()
+        if wheel <= 0.0:
+            winner = int(rng.integers(fitness.size))
+        else:
+            cdf = (fractional / wheel).cumsum()
+            cdf /= cdf[-1]
+            winner = int(cdf.searchsorted(rng.random(), side="right"))
+        winners.append(winner)
         fractional[winner] = 0.0
         if fractional.sum() <= 0.0:
             fractional = expected - integral  # refill an exhausted wheel
-    out = np.asarray(selected[:count], dtype=np.int64)
+    out = np.concatenate([selected, np.asarray(winners, dtype=np.int64)])
+    out = out[:count]
     rng.shuffle(out)
     return out
 

@@ -325,7 +325,7 @@ def _check_eq5_eq6_consistency(ctx: ConformanceContext) -> List[str]:
     scheme = ctx.scheme
     for site in range(instance.num_sites):
         vec = deallocation_estimates_for_site(
-            instance, scheme, site, droppable_only=False
+            instance, scheme.matrix, site, droppable_only=False
         )
         for obj in scheme.objects_at(site):
             scalar = deallocation_estimate(

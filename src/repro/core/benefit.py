@@ -139,18 +139,21 @@ def deallocation_estimate(
 
 def deallocation_estimates_for_site(
     instance: DRPInstance,
-    scheme: ReplicationScheme,
+    matrix: np.ndarray,
     site: int,
     droppable_only: bool = True,
 ) -> np.ndarray:
     """Eq. 6 for every object held at ``site``; shape ``(N,)`` with NaN holes.
 
-    With ``droppable_only`` (default) the primary copies hosted at ``site``
-    are also NaN, since they can never be deallocated.  Vectorised across
-    the held objects — AGRA's capacity repair calls this in a hot loop.
+    ``matrix`` is the boolean ``(M, N)`` placement (a scheme's
+    :attr:`~repro.core.scheme.ReplicationScheme.matrix`, or a GA
+    chromosome under repair).  With ``droppable_only`` (default) the
+    primary copies hosted at ``site`` are also NaN, since they can never
+    be deallocated.  Vectorised across the held objects — AGRA's
+    capacity repair calls this in a hot loop.
     """
     out = np.full(instance.num_objects, np.nan)
-    held = scheme.objects_at(site)
+    held = np.flatnonzero(matrix[site])
     if droppable_only:
         held = held[instance.primaries[held] != site]
     if held.size == 0:
@@ -172,7 +175,7 @@ def deallocation_estimates_for_site(
         proportional = 1.0
     else:
         proportional = float(instance.cost[site].sum()) / mean_weight
-    degrees = scheme.matrix[:, held].sum(axis=0)
+    degrees = matrix[:, held].sum(axis=0)
     if proportional == 0.0:
         with np.errstate(divide="ignore"):
             out[held] = np.where(

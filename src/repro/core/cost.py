@@ -276,11 +276,13 @@ class CostModel:
     ) -> Optional[float]:
         """Probe the memo table for a column's cost (hit/miss counted).
 
-        Returns ``None`` on a miss (or when caching is disabled).  Every
-        cached pricing path — :meth:`object_cost_cached`, the batch
-        kernel and :class:`~repro.core.incremental.ObjectColumnState` —
-        probes through here and stores through :meth:`cache_store`, so
-        the key space and the :meth:`cache_info` accounting are shared.
+        Returns ``None`` on a miss (or when caching is disabled).  Both
+        cached pricing paths — :meth:`object_cost_cached` and the batch
+        kernel, which also prices AGRA's micro-GA pools — probe through
+        here and store through :meth:`cache_store`, so the key space and
+        the :meth:`cache_info` accounting are shared.  The batch kernel
+        probes each distinct column of a stack once, so a column that
+        repeats within one stack counts as one probe.
         ``key`` is the optional packed-bit digest, as for
         :meth:`object_cost_cached`.
         """

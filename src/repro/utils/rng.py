@@ -53,27 +53,9 @@ def spawn_generators(seed: SeedLike, count: int) -> List[np.random.Generator]:
     return [np.random.default_rng(s) for s in spawn_seeds(seed, count)]
 
 
-def weighted_choice(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Roulette-wheel pick of an index proportionally to ``weights``.
-
-    Falls back to a uniform pick when every weight is zero (an empty wheel
-    would otherwise be a division by zero).
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or weights.size == 0:
-        raise ValueError("weights must be a non-empty 1-D array")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
-    total = float(weights.sum())
-    if total <= 0.0:
-        return int(rng.integers(weights.size))
-    return int(rng.choice(weights.size, p=weights / total))
-
-
 __all__ = [
     "SeedLike",
     "as_generator",
     "spawn_seeds",
     "spawn_generators",
-    "weighted_choice",
 ]

@@ -142,10 +142,12 @@ def test_update_heavy_object_scores_lower(small_instance):
 def test_estimates_for_site_skips_primaries(manual_instance):
     scheme = ReplicationScheme.primary_only(manual_instance)
     scheme.add_replica(0, 1)  # site 0 now holds obj 0 (primary) and obj 1
-    estimates = deallocation_estimates_for_site(manual_instance, scheme, 0)
+    estimates = deallocation_estimates_for_site(
+        manual_instance, scheme.matrix, 0
+    )
     assert np.isnan(estimates[0])  # primary copy: not droppable
     assert np.isfinite(estimates[1])
     all_est = deallocation_estimates_for_site(
-        manual_instance, scheme, 0, droppable_only=False
+        manual_instance, scheme.matrix, 0, droppable_only=False
     )
     assert np.isfinite(all_est[0])

@@ -8,7 +8,6 @@ import pytest
 from repro.core import CostModel, ReplicationScheme
 from repro.core.incremental import (
     IncrementalCostEvaluator,
-    ObjectColumnState,
     eq5_benefit,
     single_add_delta,
     single_drop_delta,
@@ -140,31 +139,3 @@ def test_eq5_benefit_formula():
     assert eq5_benefit(3.0, 5.0, 2.0, 4.0, update_fraction=0.5) == (
         3.0 * 5.0 - 0.5 * 2.0 * 4.0
     )
-
-
-# --------------------------------------------------------------------- #
-# ObjectColumnState (micro-GA chains)
-# --------------------------------------------------------------------- #
-def test_object_column_state_matches_cached_kernel(small_instance):
-    model = CostModel(small_instance)
-    rng = np.random.default_rng(8)
-    obj = 2
-    primary = int(small_instance.primaries[obj])
-    column = np.zeros(small_instance.num_sites, dtype=bool)
-    column[primary] = True
-    state = ObjectColumnState(model, obj, column)
-    check = CostModel(small_instance)  # uncontaminated cache
-    for _ in range(20):
-        flips = rng.random(small_instance.num_sites) < 0.3
-        flips[primary] = False
-        column = column.copy()
-        column[flips] = ~column[flips]
-        value = state.clone().evaluate(column)
-        assert value == check.object_cost_cached(obj, column)
-
-
-def test_object_column_state_requires_replicator(small_instance):
-    model = CostModel(small_instance)
-    empty = np.zeros(small_instance.num_sites, dtype=bool)
-    with pytest.raises(ValidationError, match="no replicators"):
-        ObjectColumnState(model, 0, empty)

@@ -27,6 +27,7 @@ from repro.conformance.oracle import REFERENCE_RTOL
 from repro.core import CostModel
 from repro.core.cost import reference_total_cost
 from repro.core.problem import DRPInstance
+from repro.runtime import RunContext
 from repro.sim.adaptive import AdaptiveReplicationLoop
 from repro.workload import WorkloadSpec, generate_instance
 from repro.workload.mutation import apply_pattern_change
@@ -138,17 +139,20 @@ def test_micro_ga_golden(small_instance):
     assert digest(np.stack(micro.columns)) == (
         "4e236050f90ea287ffc9cb3c4464537df20484397661e9e6bc4c6352d7f90bf2"
     )
+    # Each pool is priced in one batch call, which probes every
+    # distinct column once: 66 evaluations make 38 probes.
     assert model.cache_info() == {
         "entries": 13,
         "capacity": 200000,
-        "hits": 53,
+        "hits": 25,
         "misses": 13,
         "evictions": 0,
-        "hit_rate": 0.803030303030303,
+        "hit_rate": 0.6578947368421053,
     }
 
 
-def test_agra_golden(small_instance):
+def _agra_golden_run(small_instance):
+    """AGRA re-adapting SRA's scheme after objects 1 and 4 drift."""
     current = SRA().run(small_instance, CostModel(small_instance)).scheme
     rng = np.random.default_rng(41)
     reads = small_instance.reads.copy().astype(float)
@@ -174,6 +178,11 @@ def test_agra_golden(small_instance):
         drifted, current, changed,
         seed_matrices=[current.matrix], mini_gra_generations=3,
     )
+    return drifted, result
+
+
+def test_agra_golden(small_instance):
+    drifted, result = _agra_golden_run(small_instance)
     assert_golden(
         result,
         drifted,
@@ -181,6 +190,87 @@ def test_agra_golden(small_instance):
         492570.0,
     )
     assert result.stats["micro_evaluations"] == 84
+
+
+def _drop(site, obj, estimate=None):
+    """An ``agra.deallocate`` record; no estimate marks a last resort."""
+    if estimate is None:
+        attrs = {"site": site, "obj": obj, "estimate": None,
+                 "last_resort": True}
+    else:
+        attrs = {"site": site, "obj": obj, "estimate": estimate}
+    return ("agra.deallocate", attrs)
+
+
+#: every traced ``agra.*`` record of :func:`_agra_golden_run`, in order
+AGRA_TRACE = [
+    ("agra.micro_ga", {"obj": 1, "evaluations": 42}),
+    ("agra.allocate", {"obj": 1, "replicas_before": 1, "replicas_after": 6,
+                       "candidates": 6}),
+    _drop(2, 1), _drop(3, 1), _drop(5, 6, 74.16322188449848),
+    _drop(6, 0, 145.95170454545456), _drop(6, 1), _drop(7, 1), _drop(2, 1),
+    _drop(3, 1), _drop(5, 6, 74.16322188449848),
+    _drop(6, 0, 145.95170454545456), _drop(6, 1), _drop(7, 1), _drop(2, 1),
+    _drop(3, 1), _drop(6, 9, 156.46022727272728), _drop(6, 1), _drop(7, 1),
+    _drop(0, 12, 100.09472996515679), _drop(1, 2, 194.52243589743588),
+    _drop(1, 5, 245.91311813186817), _drop(2, 1),
+    _drop(6, 0, 145.95170454545456), _drop(6, 1), _drop(7, 1),
+    _drop(0, 12, 100.09472996515679), _drop(3, 1), _drop(6, 1), _drop(7, 1),
+    _drop(3, 1), _drop(6, 1), _drop(7, 1),
+    ("agra.transcribe", {"obj": 1}),
+    ("agra.micro_ga", {"obj": 4, "evaluations": 42}),
+    ("agra.allocate", {"obj": 4, "replicas_before": 1, "replicas_after": 7,
+                       "candidates": 6}),
+    _drop(0, 12, 100.09472996515679), _drop(0, 4), _drop(3, 4), _drop(4, 4),
+    _drop(5, 3, 249.20952380952377), _drop(5, 1, 424.54945054945046),
+    _drop(5, 4), _drop(6, 4), _drop(7, 4), _drop(0, 12, 100.09472996515679),
+    _drop(0, 4), _drop(3, 4), _drop(4, 4), _drop(5, 3, 249.20952380952377),
+    _drop(5, 1, 424.54945054945046), _drop(5, 4), _drop(6, 4), _drop(7, 4),
+    _drop(0, 12, 100.09472996515679), _drop(0, 4), _drop(3, 4), _drop(4, 4),
+    _drop(5, 3, 249.20952380952377), _drop(5, 1, 424.54945054945046),
+    _drop(5, 4), _drop(6, 4), _drop(7, 4), _drop(0, 1, 276.1955128205128),
+    _drop(0, 4), _drop(4, 4), _drop(5, 4), _drop(6, 4), _drop(7, 4),
+    _drop(0, 1, 414.2932692307692), _drop(0, 4), _drop(4, 4),
+    _drop(5, 11, 93.17701863354037), _drop(5, 4), _drop(6, 4), _drop(7, 4),
+    _drop(1, 2, 194.52243589743588), _drop(1, 5, 245.91311813186817),
+    _drop(1, 4), _drop(3, 4), _drop(4, 4), _drop(5, 4), _drop(6, 4),
+    _drop(7, 4),
+    ("agra.transcribe", {"obj": 4}),
+    ("agra.adapt", {"changed_objects": 2, "mini_gra_generations": 3}),
+]
+
+
+def test_agra_trace_golden(small_instance):
+    with RunContext(trace=True).activate() as ctx:
+        _, result = _agra_golden_run(small_instance)
+        records = ctx.tracer.records()
+    assert digest(result.scheme.matrix) == (
+        "31a2bc91d7e3fdf775436afd3b4ff2176c7d5aa576043c3b2653b534555c273b"
+    )
+    assert [
+        (r["name"], r["attrs"]) for r in records
+        if r["name"].startswith("agra.")
+    ] == AGRA_TRACE
+
+    # Each micro-GA prices its initial population and every generation's
+    # pool in one cost.batch span under its agra.micro_ga span; the other
+    # cost.batch spans (GRA population and mini-GRA pricing) stay as many
+    # as before the micro-GA priced in batches.
+    by_id = {r["id"]: r for r in records}
+
+    def micro_ga_ancestor(record):
+        parent = by_id.get(record["parent"])
+        while parent is not None and parent["name"] != "agra.micro_ga":
+            parent = by_id.get(parent["parent"])
+        return parent
+
+    batches = [r for r in records if r["name"] == "cost.batch"]
+    micro = [(r, micro_ga_ancestor(r)) for r in batches]
+    micro = [(r, owner) for r, owner in micro if owner is not None]
+    assert len(micro) == 2 * (6 + 1)
+    for batch, owner in micro:
+        assert batch["attrs"] == {"obj": owner["attrs"]["obj"], "rows": 6}
+    assert len(batches) - len(micro) == 30
 
 
 def test_adaptive_loop_golden():

@@ -1,7 +1,7 @@
 """Every Eq. 4 pricing path agrees exactly on non-integer costs.
 
-The incremental evaluator, the one-shot deltas and the micro-GA column
-chains price a column through the same term function as the scalar
+The incremental evaluator, the one-shot deltas and the micro-GA's batch
+pricing price a column through the same term function as the scalar
 kernel.  On integer-valued costs most float sums are exact in any order,
 so only float instances (shortest paths over a Waxman graph) can tell
 whether they really share one arithmetic: these tests assert ``==``, not
@@ -11,16 +11,19 @@ live in ``test_properties_cost.py``, drawing from both instance kinds.
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import AGRA, AGRAParams, GAParams, GRA
+from repro.algorithms.agra import micro_ga
 from repro.conformance import default_corpus
 from repro.core import CostModel, ReplicationScheme, SparseCostModel
+from repro.core.fitness import fitness_from_costs
 from repro.core.incremental import (
     IncrementalCostEvaluator,
-    ObjectColumnState,
     single_add_delta,
     single_drop_delta,
 )
@@ -85,19 +88,49 @@ def test_evaluator_and_one_shot_deltas_equal_recompute(drawn, seed):
 
 @SETTINGS
 @given(float_instances(), st.integers(0, 2**16), st.booleans())
-def test_column_state_chain_equals_object_cost(drawn, seed, cache):
+def test_micro_ga_pool_fitness_equals_object_cost(drawn, seed, cache):
+    """Every fitness the micro-GA hands to selection, and every fitness
+    it returns, is ``f_A`` of an uncached scalar price of its column."""
     instance, scheme, uf = drawn
-    rng = np.random.default_rng(seed)
     model = CostModel(
         instance, update_fraction=uf, cache_size=200_000 if cache else 0
     )
     reference = CostModel(instance, update_fraction=uf, cache_size=0)
+    params = AGRAParams(population_size=5, generations=4, mutation_rate=0.2)
+    rng = np.random.default_rng(seed)
     for k in range(instance.num_objects):
-        state = ObjectColumnState(model, k, scheme.matrix[:, k])
-        for column in _random_columns(instance, k, rng):
-            expected = reference.object_cost(k, column)
-            assert state.evaluate(column) == expected
-            assert state.clone().evaluate(column) == expected
+        pools = []  # each priced stack; the reset edits it in place
+        selected = []  # the fitness vector of each generation's pool
+        batch = model.object_costs_batch
+        select = micro_ga.stochastic_remainder_selection
+
+        def spy_batch(obj, columns):
+            pools.append(columns)
+            return batch(obj, columns)
+
+        def spy_select(fitness, count, gen):
+            selected.append(np.array(fitness))
+            return select(fitness, count, gen)
+
+        with patch.object(model, "object_costs_batch", spy_batch), \
+                patch.object(
+                    micro_ga, "stochastic_remainder_selection", spy_select
+                ):
+            result = micro_ga.run_micro_ga(
+                instance, model, k, scheme.matrix[:, k],
+                seed_columns=[scheme.matrix[:, k]], params=params, rng=rng,
+            )
+        v_prime = model.primary_only_object_cost(k)
+
+        def f_a(column):
+            return fitness_from_costs(
+                v_prime, reference.object_cost(k, column)
+            )
+
+        assert len(pools) == len(selected) + 1 == params.generations + 1
+        for pool, fitness in zip(pools[1:], selected):
+            assert fitness.tolist() == [f_a(column) for column in pool]
+        assert result.fitnesses == [f_a(c) for c in result.columns]
 
 
 @SETTINGS

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    as_generator,
-    spawn_generators,
-    spawn_seeds,
-    weighted_choice,
-)
+from repro.utils.rng import as_generator, spawn_generators, spawn_seeds
 
 
 def test_as_generator_accepts_int_seed():
@@ -53,28 +48,3 @@ def test_spawn_from_generator_advances():
     second = spawn_seeds(gen, 1)[0]
     assert first.spawn_key != second.spawn_key
 
-
-def test_weighted_choice_respects_weights():
-    rng = np.random.default_rng(2)
-    weights = np.array([0.0, 1.0, 0.0])
-    assert all(
-        weighted_choice(weights, rng) == 1 for _ in range(20)
-    )
-
-
-def test_weighted_choice_zero_weights_uniform():
-    rng = np.random.default_rng(3)
-    picks = {weighted_choice(np.zeros(4), rng) for _ in range(200)}
-    assert picks == {0, 1, 2, 3}
-
-
-def test_weighted_choice_rejects_negative():
-    rng = np.random.default_rng(4)
-    with pytest.raises(ValueError):
-        weighted_choice(np.array([1.0, -0.5]), rng)
-
-
-def test_weighted_choice_rejects_empty():
-    rng = np.random.default_rng(5)
-    with pytest.raises(ValueError):
-        weighted_choice(np.array([]), rng)
