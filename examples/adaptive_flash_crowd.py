@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A flash crowd hits a replicated system; AGRA re-tunes it on-line.
 
-Section 5's operational story, end to end on the discrete-event
+Section 5's operational story, end to end on the request-level
 simulator: a GRA-optimised network serves steady traffic until a handful
 of objects suddenly become 6x hotter (a flash crowd), and later a subset
 turns update-heavy (a write storm from one cluster of sites).  The

@@ -59,7 +59,7 @@ def main() -> None:
     print(
         format_table(
             ["update ratio", *labels], sim_rows, precision=0,
-            title="Simulated NTC (event-driven ground truth)",
+            title="Simulated NTC (per-request ground truth)",
         )
     )
     print(

@@ -3,9 +3,9 @@
 
 The paper evaluates everything through the closed-form NTC of Eq. 4.
 This example demonstrates the reproduction's strongest internal check:
-an independent discrete-event simulator replays every individual read
-and write against the replication protocol of Section 2.1 and must
-measure *exactly* the analytic ``D(X)`` — and then goes further than the
+an independent simulator replays every individual read and write
+against the replication protocol of Section 2.1 and must measure
+*exactly* the analytic ``D(X)`` — and then goes further than the
 paper, translating NTC into user-visible response times.
 
 Run:  python examples/simulation_validation.py
@@ -15,7 +15,6 @@ from repro import (
     CostModel,
     ReplicationScheme,
     SRA,
-    Simulator,
     ReplicaSystem,
     WorkloadSpec,
     generate_instance,
@@ -32,10 +31,7 @@ def measure(instance, scheme, trace, label):
         base_latency=2.0,  # ms of fixed per-request overhead
         unit_latency=0.01,  # ms per cost-weighted data unit
     )
-    system = ReplicaSystem(instance, scheme, metrics=metrics)
-    simulator = Simulator()
-    system.attach(simulator, trace)
-    simulator.run()
+    ReplicaSystem(instance, scheme, metrics=metrics).replay(trace)
     return [
         label,
         metrics.request_ntc,

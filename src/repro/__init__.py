@@ -14,8 +14,8 @@ Eq. 6 deallocation estimator (Section 5), and an experiment harness that
 regenerates every figure of the evaluation (Section 6) — plus the
 substrates they stand on: network topologies with from-scratch shortest
 paths, the synthetic workload generator, a message-level emulation of the
-distributed SRA, and a discrete-event simulator that cross-validates the
-analytic cost model.
+distributed SRA, and a per-request protocol simulator that
+cross-validates the analytic cost model.
 
 Quickstart
 ----------
@@ -83,7 +83,6 @@ _EXPORTS = {
             "AdaptiveReplicationLoop",
             "ReplicaSystem",
             "SimulationMetrics",
-            "Simulator",
         ),
         "repro.sim",
     ),
@@ -140,7 +139,6 @@ __all__ = [
     # distributed / simulation
     "DistributedSRA",
     "ReplicaSystem",
-    "Simulator",
     "SimulationMetrics",
     "AdaptiveReplicationLoop",
     # experiments

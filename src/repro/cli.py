@@ -7,8 +7,8 @@ Subcommands:
   optionally save the scheme;
 * ``evaluate`` — re-evaluate a saved scheme (e.g. under a different
   instance file with drifted patterns);
-* ``simulate`` — replay a request trace through the discrete-event
-  simulator and cross-check the analytic cost;
+* ``simulate`` — replay a request trace through the Section 2.1
+  protocol and cross-check the analytic cost;
 * ``compare``  — run several algorithms over freshly generated
   instances and print mean savings with confidence intervals;
 * ``figures``  — alias of ``repro-experiments`` (reproduce the paper's
@@ -71,6 +71,9 @@ from repro.utils.files import atomic_write
 from repro.utils.telemetry import current_sink
 from repro.version import __version__
 from repro.workload import WorkloadSpec, generate_instance, generate_instances
+
+#: requests per ``sim.progress`` trace event of ``repro simulate``
+_PROGRESS_EVERY = 1000
 
 
 def _solve_choices() -> List[str]:
@@ -374,29 +377,40 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.sim import FaultInjector, ReplicaSystem, Simulator
+    from repro.sim import FaultInjector, ReplicaSystem
+    from repro.utils.profiler import current_profiler
+    from repro.utils.tracing import current_tracer
     from repro.workload.trace import generate_trace
 
-    # the context is built before the replay machinery so the fault plan
-    # it carries can be installed ahead of the session
     ctx = context_from_args(args)
     scheme = load_scheme(args.scheme)
     instance = scheme.instance
     trace = generate_trace(instance, duration=args.duration, rng=args.seed)
     system = ReplicaSystem(instance, scheme)
-    simulator = Simulator()
     plan = ctx.fault_plan
-    injector: Optional[FaultInjector] = None
-    if plan is not None:
-        injector = FaultInjector(plan)
-        # Install before attach: a fault transition at time t must apply
-        # before requests scheduled at the same t (insertion order
-        # breaks ties in the event queue).
-        injector.install(simulator, system)
-    system.attach(simulator, trace)
+    injector = FaultInjector(plan) if plan is not None else None
+    requests = len(trace)
     with runtime_session(args, ctx=ctx):
-        simulator.run()
-        system.metrics.publish(current_sink())
+        tracer = current_tracer()
+        sink = current_sink()
+        with tracer.span("sim.run", until=None) as span:
+            system.replay(trace, injector)
+            for done in range(_PROGRESS_EVERY, requests + 1, _PROGRESS_EVERY):
+                tracer.event(
+                    "sim.progress",
+                    sim_time=float(trace.time[done - 1]),
+                    processed=done,
+                    pending=requests - done,
+                )
+            if requests:
+                current_profiler().tick(requests)
+            span.set(
+                processed=requests,
+                sim_time=float(trace.time[-1]) if requests else 0.0,
+            )
+        sink.set_gauge("repro_sim_events_processed", requests)
+        sink.set_gauge("repro_sim_queue_depth", 0)
+        system.metrics.publish(sink)
     analytic = CostModel(instance).total_cost(scheme.matrix)
     measured = system.metrics.request_ntc
     faults_active = plan is not None and not plan.is_empty

@@ -13,7 +13,7 @@ Accounting convention (Eq. 4 of the paper):
 
 The total ``D(X)`` equals the aggregation of Eq. 1 + Eq. 2 over all sites
 and objects; the test-suite cross-checks this closed form against a slow
-site-by-site reference implementation and against the discrete-event
+site-by-site reference implementation and against the request-level
 simulator.
 
 ``update_fraction`` (an extension the paper sketches in Section 2.2 —

@@ -18,7 +18,7 @@ The first two are exact closed forms (the simulator matches them to
 float precision).  Invalidation's cost depends on the read/write
 *interleaving*, so the closed form here is the standard stationary
 approximation — each read finds its local replica stale with probability
-``w_k / (w_k + r_ik-rate share)`` — and the discrete-event simulator
+``w_k / (w_k + r_ik-rate share)`` — and the request-level simulator
 (:class:`repro.sim.ReplicaSystem` with ``write_strategy="invalidation"``)
 provides ground truth; tests bound the approximation error.
 """

@@ -48,7 +48,7 @@ class InfeasibleProblemError(ReproError):
 
 
 class SimulationError(ReproError):
-    """The discrete-event simulator reached an inconsistent state."""
+    """The simulator reached an inconsistent state."""
 
 
 class TopologyError(ReproError):

@@ -15,8 +15,6 @@ of the paper's introduction) and powers the adaptive monitor loop of
 Section 5 (:mod:`repro.sim.adaptive`).
 """
 
-from repro.sim.events import EventQueue, ScheduledEvent
-from repro.sim.engine import Simulator
 from repro.sim.faults import (
     CrashWindow,
     FaultInjector,
@@ -35,9 +33,6 @@ __all__ = [
     "LoadReport",
     "estimate_load",
     "served_units",
-    "EventQueue",
-    "ScheduledEvent",
-    "Simulator",
     "SimulationMetrics",
     "ReplicaSystem",
     "AdaptiveLoopReport",

@@ -18,10 +18,8 @@ schedule of
 A :class:`FaultInjector` binds a plan to a live
 :class:`~repro.sim.protocol.ReplicaSystem`: transitions apply in
 deterministic order (time, then end-before-start, then declaration
-order), either pulled by :meth:`FaultInjector.advance_to` during a trace
-replay or pushed as events onto a
-:class:`~repro.sim.engine.Simulator` via :meth:`FaultInjector.install`.
-Every transition is emitted through the current
+order), pulled by :meth:`FaultInjector.advance_to` during a trace
+replay.  Every transition is emitted through the current
 :class:`~repro.utils.tracing.Tracer` and counted in
 :class:`~repro.sim.metrics.SimulationMetrics.fault_events`.
 
@@ -34,11 +32,10 @@ Determinism guarantees (relied on by the chaos test-suite):
   trace through an injector with an empty plan is behaviour-identical to
   replaying with no injector at all.
 
-Time units are context-dependent: trace replay and the discrete-event
-simulator interpret transition times as *simulated seconds*; the
-round-based distributed protocols interpret them as *round numbers*; the
-adaptive loop interprets them as *epoch numbers*.  See
-``docs/fault_injection.md``.
+Time units are context-dependent: trace replay interprets transition
+times as *simulated seconds*; the round-based distributed protocols
+interpret them as *round numbers*; the adaptive loop interprets them as
+*epoch numbers*.  See ``docs/fault_injection.md``.
 """
 
 from __future__ import annotations
@@ -601,16 +598,10 @@ class ProtocolFaults:
 class FaultInjector:
     """Applies a :class:`FaultPlan` to a live :class:`ReplicaSystem`.
 
-    Two driving modes, mutually exclusive per injector:
-
-    * **pull** — :meth:`advance_to` applies every transition due at or
-      before a timestamp; ``ReplicaSystem.replay`` calls it before each
-      request and :meth:`drain` after the last one;
-    * **push** — :meth:`install` schedules every transition onto a
-      :class:`~repro.sim.engine.Simulator`.  Install *before*
-      ``ReplicaSystem.attach`` so a transition at time ``t`` precedes
-      requests at the same ``t`` (insertion order breaks ties), matching
-      the pull mode's ``<=`` semantics.
+    :meth:`advance_to` applies every transition due at or before a
+    timestamp; ``ReplicaSystem.replay`` calls it before each request (so
+    a transition at time ``t`` precedes requests at the same ``t``) and
+    :meth:`drain` after the last one.
 
     An injector is single-use: it walks its transition list forward only.
     """
@@ -619,7 +610,6 @@ class FaultInjector:
         self.plan = plan
         self._transitions = plan.transitions()
         self._cursor = 0
-        self._installed = False
         self._validated_for: Optional[int] = None
         self._crash_depth: Dict[int, int] = {}
         self._active_degradations: List[LinkDegradation] = []
@@ -635,34 +625,8 @@ class FaultInjector:
         return MessageFaults(self.plan.messages, self.plan.seed)
 
     # ------------------------------------------------------------------ #
-    def install(self, simulator, system) -> int:
-        """Schedule every remaining transition onto ``simulator``.
-
-        Returns the number of events scheduled.  Call before
-        ``system.attach`` (see class docstring).
-        """
-        if self._installed:
-            raise SimulationError("fault injector is already installed")
-        self._check(system)
-        scheduled = 0
-        for index in range(self._cursor, len(self._transitions)):
-            transition = self._transitions[index]
-            simulator.schedule(
-                transition.time,
-                lambda tr=transition: self._apply(tr, system),
-            )
-            scheduled += 1
-        self._installed = True
-        self._cursor = len(self._transitions)
-        return scheduled
-
     def advance_to(self, time: float, system) -> int:
         """Apply every transition due at or before ``time``; returns count."""
-        if self._installed:
-            raise SimulationError(
-                "fault injector is installed on a simulator; "
-                "advance_to would double-apply its transitions"
-            )
         if self._cursor >= len(self._transitions):
             return 0
         self._check(system)

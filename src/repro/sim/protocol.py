@@ -37,7 +37,6 @@ from repro.core.scheme import ReplicationScheme
 from repro.core.strategies import WriteStrategy
 from repro.errors import FaultPlanError, SimulationError, ValidationError
 from repro.obs.ledger import current_ledger
-from repro.sim.engine import Simulator
 from repro.sim.metrics import (
     CAUSES,
     MIGRATION,
@@ -436,12 +435,12 @@ class ReplicaSystem:
         trace: "Trace | Iterable[Request]",
         injector: "Optional[FaultInjector]" = None,
     ) -> SimulationMetrics:
-        """Replay a whole trace immediately (no event scheduling).
+        """Replay a whole trace through the Section 2.1 protocol.
 
         With an ``injector``, fault transitions scheduled at or before
-        each request's timestamp are applied first, and any remaining
-        transitions are drained after the last request — so a replay
-        sees exactly the fault timeline a scheduled run would.
+        each request's timestamp are applied first (a transition at
+        time ``t`` precedes requests at ``t``), and any remaining
+        transitions are drained after the last request.
 
         Under ``PRIMARY_BROADCAST`` the trace is priced in segments:
         between two fault transitions nothing a request reads changes,
@@ -586,14 +585,6 @@ class ReplicaSystem:
             by_cell = np.bincount(w_site * n + w_obj, minlength=m * n)
             others = by_obj[None, :] - by_cell.reshape(m, n)
             self._valid[tables.missed & (others > 0)] = False
-
-    def attach(self, simulator: Simulator, trace: Iterable[Request]) -> None:
-        """Schedule every request of ``trace`` onto ``simulator``."""
-        for request in trace:
-            simulator.schedule(
-                request.time,
-                lambda req=request: self.handle_request(req),
-            )
 
     # ------------------------------------------------------------------ #
     # scheme realisation

@@ -13,7 +13,16 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
+from repro.errors import ValidationError
+
 SeedLike = Union[None, int, Sequence[int], np.random.SeedSequence, np.random.Generator]
+
+
+def _checked(seed: SeedLike) -> SeedLike:
+    """``seed`` unchanged, or :class:`ValidationError` if a negative int."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def as_generator(seed: SeedLike = None) -> np.random.Generator:
@@ -25,9 +34,7 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_checked(seed))
 
 
 def spawn_seeds(seed: SeedLike, count: int) -> List[np.random.SeedSequence]:
@@ -44,7 +51,7 @@ def spawn_seeds(seed: SeedLike, count: int) -> List[np.random.SeedSequence]:
     elif isinstance(seed, np.random.SeedSequence):
         seq = seed
     else:
-        seq = np.random.SeedSequence(seed)
+        seq = np.random.SeedSequence(_checked(seed))
     return list(seq.spawn(count))
 
 

@@ -4,7 +4,7 @@
 :mod:`repro.workload.mutation` knobs (``Ch``, ``OCh``, ``R``/``U`` split,
 normally-clustered update hotspots) reproduce the fifth experiment's
 pattern changes; :mod:`repro.workload.trace` expands count matrices into
-request streams for the discrete-event simulator; :mod:`repro.workload.zipf`
+request streams for the simulator; :mod:`repro.workload.zipf`
 adds the Zipf-skewed web-like popularity extension.
 """
 

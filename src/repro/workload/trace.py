@@ -1,7 +1,7 @@
 """Expansion of (reads, writes) count matrices into request traces.
 
-The analytic cost model works on aggregate counts; the discrete-event
-simulator replays individual requests.  :func:`generate_trace` produces a
+The analytic cost model works on aggregate counts; the simulator
+(:mod:`repro.sim`) replays individual requests.  :func:`generate_trace` produces a
 time-ordered stream whose per-(site, object) totals equal the instance's
 count matrices *exactly*, so the simulator's measured NTC must equal the
 analytic ``D(X)`` — the key cross-validation of this reproduction.
@@ -9,7 +9,7 @@ analytic ``D(X)`` — the key cross-validation of this reproduction.
 The stream is columnar: a :class:`Trace` holds one array per field
 (``time``, ``site``, ``obj``, ``write``), so a 150k-request trace costs a
 few megabytes and replays with array operations.  Iterating or indexing
-it still yields :class:`Request` objects for the event-driven simulator.
+it still yields :class:`Request` objects for the per-request protocol.
 """
 
 from __future__ import annotations
@@ -132,8 +132,10 @@ def generate_trace(
     (row-major), then the write cells: the same values, and the same
     generator state afterwards, as one draw per cell in that order.
     """
-    if duration <= 0:
-        raise ValidationError(f"duration must be > 0, got {duration}")
+    if not (np.isfinite(duration) and duration > 0):
+        raise ValidationError(
+            f"duration must be finite and > 0, got {duration}"
+        )
     gen = as_generator(rng)
     reads = np.rint(instance.reads).astype(np.int64)
     writes = np.rint(instance.writes).astype(np.int64)

@@ -20,6 +20,16 @@ def instance_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def scheme_file(instance_file, tmp_path):
+    path = tmp_path / "scheme.json"
+    assert main([
+        "solve", str(instance_file), "--algorithm", "sra",
+        "--save-scheme", str(path),
+    ]) == 0
+    return path
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "repro" in capsys.readouterr().out
@@ -80,6 +90,58 @@ def test_simulate_matches_analytic(instance_file, tmp_path, capsys):
     assert main(["simulate", str(scheme_path), "--seed", "2"]) == 0
     out = capsys.readouterr().out
     assert "exact match:       True" in out
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf", "-inf", "0"])
+def test_simulate_rejects_bad_duration(scheme_file, capsys, duration):
+    assert main(["simulate", str(scheme_file), f"--duration={duration}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration must be finite and > 0")
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "simulate", "compare"])
+def test_negative_seed_is_clean_error(instance_file, scheme_file, tmp_path,
+                                      capsys, command):
+    argv = {
+        "generate": ["generate", "--sites", "5", "--objects", "6",
+                     "-o", str(tmp_path / "out.json")],
+        # SRA draws nothing; GRA seeds its generator from --seed
+        "solve": ["solve", str(instance_file), "--algorithm", "gra",
+                  "--generations", "1"],
+        "simulate": ["simulate", str(scheme_file)],
+        "compare": ["compare", "--sites", "5", "--objects", "6",
+                    "--instances", "1"],
+    }[command]
+    assert main(argv + ["--seed=-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+def test_simulate_faults_counts_requests_as_events(scheme_file, tmp_path,
+                                                   capsys):
+    """Under ``--faults`` the processed count is the requests replayed;
+    fault transitions are not counted as events."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "seed": 9,
+        "crashes": [{"site": 1, "start": 0.2, "end": 0.7}],
+        "partitions": [{"group": [3], "start": 0.4, "end": 0.6}],
+    }))
+    om = tmp_path / "sim.om"
+    assert main([
+        "simulate", str(scheme_file), "--seed", "2", "--faults", str(plan),
+        "--openmetrics", str(om),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "(4 fault events applied)" in out
+    requests = next(
+        line.split(":")[1] for line in out.splitlines()
+        if line.startswith("requests replayed:")
+    )
+    gauge = next(
+        line.split()[1] for line in om.read_text().splitlines()
+        if line.startswith("repro_sim_events_processed ")
+    )
+    assert float(gauge) == int(requests.strip().replace(",", ""))
 
 
 def test_compare(capsys):

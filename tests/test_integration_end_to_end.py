@@ -2,7 +2,7 @@
 
 This is the library's "story test": generate a Section 6.1 network, solve
 it statically (SRA, GRA, exact), validate the analytic cost model against
-the discrete-event simulator and the distributed protocol, drift the
+the request-level simulator and the distributed protocol, drift the
 patterns, adapt with AGRA, and realise the new scheme — asserting the
 paper's qualitative claims at every step.
 """

@@ -166,10 +166,10 @@ def test_recorder_mutation_outside_runtime_is_flagged():
         "    pass\n"
         "TRACER.recorder = None\n"
     )
-    assert _mutation_violations("sim/engine.py", "sim", snippet) == [
-        "sim/engine.py uses .recorder =",
-        "sim/engine.py uses install_recorder()",
-        "sim/engine.py uses scoped_recorder()",
+    assert _mutation_violations("sim/protocol.py", "sim", snippet) == [
+        "sim/protocol.py uses .recorder =",
+        "sim/protocol.py uses install_recorder()",
+        "sim/protocol.py uses scoped_recorder()",
     ]
     assert _mutation_violations("runtime/context.py", "runtime", snippet) == []
     assert _mutation_violations(MUTATOR_MODULE, "utils", snippet) == []

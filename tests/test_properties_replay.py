@@ -2,9 +2,8 @@
 
 ``ReplicaSystem.replay`` prices each fault segment of a trace with array
 operations under the primary-broadcast strategy.  The reference is the
-per-request path the event-driven simulator still takes: one
-``FaultInjector.advance_to`` and one ``handle_request`` per request, then
-``drain``.  Every accumulator, counter, histogram (bucket order
+per-request protocol itself: one ``FaultInjector.advance_to`` and one
+``handle_request`` per request, then ``drain``.  Every accumulator, counter, histogram (bucket order
 included), the freshness matrix and the failed set must match exactly.
 
 Costs come from Waxman shortest paths, so they are non-integer and any
@@ -38,30 +37,43 @@ from tests.strategies import float_instances, instances_with_schemes
 SETTINGS = settings(max_examples=40, deadline=None)
 
 
-def _window(draw):
-    start = draw(st.floats(0.0, 0.9, allow_nan=False))
+def _window(draw, times):
+    """A window whose ends may fall exactly on request ``times``."""
+    moment = st.floats(0.0, 0.9, allow_nan=False)
+    if times:
+        moment = st.one_of(moment, st.sampled_from(times))
+    start = draw(moment)
     if draw(st.booleans()):
         return start, None
+    later = [t for t in times if t > start]
+    if later and draw(st.booleans()):
+        return start, draw(st.sampled_from(later))
     return start, start + draw(st.floats(0.01, 0.8, allow_nan=False))
 
 
 @st.composite
-def fault_plans(draw, instance):
+def fault_plans(draw, instance, times=()):
     """Crashes (primaries favoured), partitions and degraded or severed
-    links over an ``instance``-sized system."""
+    links over an ``instance``-sized system.
+
+    Window starts and ends can land exactly on one of the request
+    ``times``, where a transition must apply before the requests at its
+    timestamp.
+    """
+    times = sorted(set(times))
     m = instance.num_sites
     primaries = sorted({int(p) for p in instance.primaries})
     sites = st.one_of(st.sampled_from(primaries), st.integers(0, m - 1))
     crashes = []
     for _ in range(draw(st.integers(0, 3))):
-        start, end = _window(draw)
+        start, end = _window(draw, times)
         crashes.append(CrashWindow(draw(sites), start, end))
     degradations = []
     for _ in range(draw(st.integers(0, 3))):
         src = draw(sites)
         dst = draw(st.integers(0, m - 1).filter(lambda d: d != src))
         factor = draw(st.sampled_from([math.inf, 0.5, 3.0, 7.25]))
-        start, end = _window(draw)
+        start, end = _window(draw, times)
         degradations.append(LinkDegradation(
             src, dst, factor, start, end, symmetric=draw(st.booleans())
         ))
@@ -69,7 +81,7 @@ def fault_plans(draw, instance):
     for _ in range(draw(st.integers(0, 2))):
         # a group that holds a primary cuts it off from its replicas
         group = draw(st.sets(sites, min_size=1, max_size=m - 1))
-        start, end = _window(draw)
+        start, end = _window(draw, times)
         partitions.append(PartitionWindow(tuple(sorted(group)), start, end))
     return FaultPlan(tuple(crashes), tuple(degradations), tuple(partitions))
 
@@ -124,9 +136,10 @@ def _assert_replays_agree(instance, scheme, trace, plan, fraction, down=()):
 def test_segment_replay_equals_request_loop(triple, data):
     instance, scheme, drawn_fraction = triple
     fraction = data.draw(st.sampled_from([0.0, 0.5, 1.0, drawn_fraction]))
-    plan = data.draw(st.one_of(st.none(), fault_plans(instance)))
-    down = data.draw(st.sets(st.integers(0, instance.num_sites - 1), max_size=2))
     trace = generate_trace(instance, rng=data.draw(st.integers(0, 2**16)))
+    times = trace.time.tolist()
+    plan = data.draw(st.one_of(st.none(), fault_plans(instance, times)))
+    down = data.draw(st.sets(st.integers(0, instance.num_sites - 1), max_size=2))
     _assert_replays_agree(instance, scheme, trace, plan, fraction, sorted(down))
 
 
@@ -134,8 +147,8 @@ def test_segment_replay_equals_request_loop(triple, data):
 @given(instances_with_schemes(), st.data())
 def test_chunked_replay_equals_request_loop(pair, data):
     instance, scheme = pair
-    plan = data.draw(fault_plans(instance))
     trace = generate_trace(instance, rng=data.draw(st.integers(0, 2**16)))
+    plan = data.draw(fault_plans(instance, trace.time.tolist()))
     chunk = data.draw(st.integers(1, 9))
     original = protocol.REPLAY_CHUNK
     protocol.REPLAY_CHUNK = chunk
@@ -192,6 +205,26 @@ def test_list_of_requests_input(float_pair):
             partitions=(PartitionWindow((1, 2), 0.2, 0.5),),
         )
         _assert_replays_agree(instance, scheme, trace, plan, 1.0)
+
+
+@pytest.mark.parametrize(
+    "window, rejected",
+    [((0.5, None), (1, 1)), ((0.25, 0.5), (1, 0)), ((0.3, 0.5), (0, 0))],
+)
+def test_transition_applies_before_requests_at_its_time(
+    float_pair, window, rejected
+):
+    """A crash starting at t rejects the requests at t; one ending at t
+    lets them through."""
+    instance, scheme = float_pair
+    site, obj = 0, 0
+    trace = Trace([0.25, 0.5, 0.5], [site] * 3, [obj] * 3, [False, False, True])
+    plan = FaultPlan(crashes=(CrashWindow(site, *window),))
+    _assert_replays_agree(instance, scheme, trace, plan, 1.0)
+    system = ReplicaSystem(instance, scheme)
+    system.replay(trace, injector=FaultInjector(plan))
+    metrics = system.metrics
+    assert (metrics.rejected_reads, metrics.rejected_writes) == rejected
 
 
 def test_trace_longer_than_one_chunk():

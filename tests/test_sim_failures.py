@@ -1,4 +1,4 @@
-"""Failure injection in the discrete-event simulator."""
+"""Failure injection in the request-level simulator."""
 
 from __future__ import annotations
 

@@ -15,7 +15,6 @@ from repro.sim import (
     MessageFaultSpec,
     PartitionWindow,
     ReplicaSystem,
-    Simulator,
     load_fault_plan,
 )
 from repro.sim.faults import CRASH, HEAL, MessageFaults, ProtocolFaults, RECOVER
@@ -180,7 +179,7 @@ class TestTransitions:
 
 
 # --------------------------------------------------------------------- #
-# the injector: pull mode, push mode, misuse
+# the injector: pull mode and misuse
 # --------------------------------------------------------------------- #
 class TestInjector:
     def test_pull_applies_due_transitions(self, manual_instance):
@@ -194,37 +193,6 @@ class TestInjector:
         assert injector.advance_to(0.9, system) == 1
         assert system.failed_sites == frozenset()
         assert injector.exhausted
-
-    def test_push_and_pull_agree(self, manual_instance):
-        trace = generate_trace(manual_instance, rng=5)
-
-        pulled = make_system(manual_instance)
-        FaultInjector(SAMPLE_PLAN)  # constructing one is side-effect free
-        pulled.replay(trace, injector=FaultInjector(SAMPLE_PLAN))
-
-        pushed = make_system(manual_instance)
-        simulator = Simulator()
-        injector = FaultInjector(SAMPLE_PLAN)
-        scheduled = injector.install(simulator, pushed)
-        assert scheduled == len(SAMPLE_PLAN.transitions())
-        pushed.attach(simulator, trace)
-        simulator.run()
-
-        assert pulled.metrics.summary() == pushed.metrics.summary()
-
-    def test_install_twice_rejected(self, manual_instance):
-        system = make_system(manual_instance)
-        injector = FaultInjector(SAMPLE_PLAN)
-        injector.install(Simulator(), system)
-        with pytest.raises(SimulationError):
-            injector.install(Simulator(), system)
-
-    def test_advance_after_install_rejected(self, manual_instance):
-        system = make_system(manual_instance)
-        injector = FaultInjector(SAMPLE_PLAN)
-        injector.install(Simulator(), system)
-        with pytest.raises(SimulationError):
-            injector.advance_to(1.0, system)
 
     def test_plan_validated_against_system(self, manual_instance):
         system = make_system(manual_instance)  # 3 sites

@@ -8,7 +8,7 @@ import pytest
 from repro.algorithms import SRA
 from repro.core import CostModel, ReplicationScheme
 from repro.errors import SimulationError, ValidationError
-from repro.sim import ReplicaSystem, Simulator
+from repro.sim import ReplicaSystem
 from repro.sim.metrics import UPDATE_BROADCAST
 from repro.workload import WorkloadSpec, generate_instance, generate_trace
 
@@ -32,21 +32,6 @@ def test_replay_equals_analytic_cost(setup):
     system.replay(trace)
     assert system.metrics.request_ntc == pytest.approx(
         model.total_cost(scheme)
-    )
-
-
-def test_event_driven_equals_replay(setup):
-    inst, scheme = setup
-    trace = generate_trace(inst, rng=2)
-    direct = ReplicaSystem(inst, scheme)
-    direct.replay(trace)
-    event_driven = ReplicaSystem(inst, scheme)
-    sim = Simulator()
-    event_driven.attach(sim, trace)
-    sim.run()
-    assert sim.events_processed == len(trace)
-    assert event_driven.metrics.request_ntc == pytest.approx(
-        direct.metrics.request_ntc
     )
 
 

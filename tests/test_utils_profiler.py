@@ -112,7 +112,7 @@ def test_run_context_couples_profiler_and_tracer():
 def _profiled_run() -> str:
     """One fixed seeded GRA solve + sim replay under a fresh profiler."""
     from repro.algorithms import GAParams, GRA
-    from repro.sim import ReplicaSystem, Simulator
+    from repro.sim import ReplicaSystem
     from repro.workload import WorkloadSpec, generate_instance
     from repro.workload.trace import generate_trace
 
@@ -126,9 +126,9 @@ def _profiled_run() -> str:
         ).run(instance)
         trace = generate_trace(instance, duration=0.5, rng=13)
         system = ReplicaSystem(instance, result.scheme)
-        simulator = Simulator()
-        system.attach(simulator, trace)
-        simulator.run()
+        with ctx.tracer.span("sim.run"):
+            system.replay(trace)
+            ctx.profiler.tick(len(trace))
         return ctx.profiler.collapsed()
 
 

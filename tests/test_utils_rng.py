@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import ValidationError
 from repro.utils.rng import as_generator, spawn_generators, spawn_seeds
 
 
@@ -40,6 +41,13 @@ def test_spawn_seeds_independent_streams():
 def test_spawn_seeds_negative_count_rejected():
     with pytest.raises(ValueError):
         spawn_seeds(1, -1)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+@pytest.mark.parametrize("derive", [as_generator, lambda s: spawn_seeds(s, 2)])
+def test_negative_seed_rejected(seed, derive):
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        derive(seed)
 
 
 def test_spawn_from_generator_advances():

@@ -62,6 +62,14 @@ def test_invalid_duration(instance):
         generate_trace(instance, duration=0.0)
 
 
+@pytest.mark.parametrize(
+    "duration", [-1.0, float("nan"), float("inf"), float("-inf")]
+)
+def test_non_finite_or_negative_duration_rejected(instance, duration):
+    with pytest.raises(ValidationError, match="finite and > 0"):
+        generate_trace(instance, duration=duration)
+
+
 def _reference_trace(instance, gen, duration=1.0):
     """One ``uniform`` draw per read cell, then per write cell, sorted."""
     requests = []
