@@ -154,11 +154,8 @@ class GRA(ReplicationAlgorithm):
     def _mutation_subpopulation(
         self, instance: DRPInstance, parents: List[Chromosome]
     ) -> List[Chromosome]:
-        # Offspring carry a parent link so evaluation can delta-chain off
-        # the parent's per-object costs (only changed columns re-priced).
-        offspring: List[Chromosome] = []
-        for parent in parents:
-            child = Chromosome(
+        return [
+            Chromosome(
                 mutate(
                     instance,
                     parent.matrix,
@@ -166,9 +163,8 @@ class GRA(ReplicationAlgorithm):
                     self._rng,
                 )
             )
-            child.parent = parent
-            offspring.append(child)
-        return offspring
+            for parent in parents
+        ]
 
     def evolve(
         self,

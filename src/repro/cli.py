@@ -72,9 +72,6 @@ from repro.utils.telemetry import current_sink
 from repro.version import __version__
 from repro.workload import WorkloadSpec, generate_instance, generate_instances
 
-#: requests per ``sim.progress`` trace event of ``repro simulate``
-_PROGRESS_EVERY = 1000
-
 
 def _solve_choices() -> List[str]:
     """Algorithms runnable on a bare instance (the registry decides)."""
@@ -393,15 +390,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with runtime_session(args, ctx=ctx):
         tracer = current_tracer()
         sink = current_sink()
-        with tracer.span("sim.run", until=None) as span:
+        with tracer.span("sim.run") as span:
             system.replay(trace, injector)
-            for done in range(_PROGRESS_EVERY, requests + 1, _PROGRESS_EVERY):
-                tracer.event(
-                    "sim.progress",
-                    sim_time=float(trace.time[done - 1]),
-                    processed=done,
-                    pending=requests - done,
-                )
             if requests:
                 current_profiler().tick(requests)
             span.set(
@@ -409,7 +399,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 sim_time=float(trace.time[-1]) if requests else 0.0,
             )
         sink.set_gauge("repro_sim_events_processed", requests)
-        sink.set_gauge("repro_sim_queue_depth", 0)
         system.metrics.publish(sink)
     analytic = CostModel(instance).total_cost(scheme.matrix)
     measured = system.metrics.request_ntc

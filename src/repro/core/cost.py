@@ -53,10 +53,10 @@ def eq4_object_term(
     :meth:`CostModel._columns`, ``mask`` the boolean replica column and
     ``nearest`` the unit-stride vector of each site's distance to its
     nearest replicator (zero at replicators).  Every pricing path — the
-    scalar and batch kernels, the incremental evaluator, the one-shot
-    deltas and the micro-GA column chains — computes ``nearest`` its own
-    way and prices it here, so their costs are bit-identical on any cost
-    matrix, integer-valued or not.
+    scalar kernel, the batch kernel that prices every GA and micro-GA
+    stack, the incremental evaluator and the one-shot deltas — computes
+    ``nearest`` its own way and prices it here, so their costs are
+    bit-identical on any cost matrix, integer-valued or not.
     """
     read_w, write_w, to_primary, total_w = columns
     # The weight column is copied contiguous before the dot: BLAS picks
@@ -278,9 +278,10 @@ class CostModel:
 
         Returns ``None`` on a miss (or when caching is disabled).  Both
         cached pricing paths — :meth:`object_cost_cached` and the batch
-        kernel, which also prices AGRA's micro-GA pools — probe through
-        here and store through :meth:`cache_store`, so the key space and
-        the :meth:`cache_info` accounting are shared.  The batch kernel
+        kernel :meth:`object_cost_kernel`, which prices every GRA
+        population and AGRA micro-GA pool — probe through here and store
+        through :meth:`cache_store`, so the key space and the
+        :meth:`cache_info` accounting are shared.  The batch kernel
         probes each distinct column of a stack once, so a column that
         repeats within one stack counts as one probe.
         ``key`` is the optional packed-bit digest, as for
@@ -348,16 +349,10 @@ class CostModel:
     def object_costs_batch(self, obj: int, columns: np.ndarray) -> np.ndarray:
         """Costs of many replica columns of one object at once.
 
-        ``columns`` is a boolean ``(P, M)`` stack.  Duplicate columns are
-        collapsed on their packed bits (:func:`unique_packed_rows`), and
-        each packed row is also the column's memo-cache key, so a stack
-        is packed once.  Distinct columns are probed in bool-row order,
-        the order a row-wise :func:`numpy.unique` yields, and cached costs
-        are reused; each remaining fresh column gathers its
-        nearest-replicator distances over its replicator set only and is
-        priced by :func:`eq4_object_term`, so every row equals
-        :meth:`object_cost_cached` bit for bit.  Used by GA population
-        evaluation where whole generations share columns.
+        ``columns`` is a boolean ``(P, M)`` stack.  Validates the stack,
+        opens one ``cost.batch`` trace span and prices it with
+        :meth:`object_cost_kernel`.  Used by GA population evaluation
+        and by AGRA's micro-GA, where whole generations share columns.
         """
         columns = np.asarray(columns, dtype=bool)
         if columns.ndim != 2 or columns.shape[1] != self._instance.num_sites:
@@ -373,12 +368,27 @@ class CostModel:
             with tracer.span(
                 "cost.batch", obj=obj, rows=int(columns.shape[0])
             ):
-                result = self._timed_batch(obj, columns)
+                result = self.object_cost_kernel(obj, columns)
                 current_profiler().tick()
                 return result
-        return self._timed_batch(obj, columns)
+        return self.object_cost_kernel(obj, columns)
 
-    def _timed_batch(self, obj: int, columns: np.ndarray) -> np.ndarray:
+    def object_cost_kernel(self, obj: int, columns: np.ndarray) -> np.ndarray:
+        """The batch kernel: costs of a boolean ``(P, M)`` column stack.
+
+        Every GA and micro-GA stack is priced here; the stack is not
+        validated and no span is opened (:meth:`object_costs_batch`
+        does both), but the call is timed as ``cost.batch`` into the
+        metrics registry.  Duplicate columns are collapsed on their
+        packed bits (:func:`unique_packed_rows`), and each packed row is
+        also the column's memo-cache key, so a stack is packed once.
+        Distinct columns are probed in bool-row order, the order a
+        row-wise :func:`numpy.unique` yields, and cached costs are
+        reused; each remaining fresh column gathers its
+        nearest-replicator distances over its replicator set only and is
+        priced by :func:`eq4_object_term`, so every row equals
+        :meth:`object_cost_cached` bit for bit.
+        """
         if self._metrics is not None:
             with self._metrics.timer("cost.batch"):
                 return self._object_costs_batch(obj, columns)
@@ -406,17 +416,6 @@ class CostModel:
             unique_costs[idx] = value
             self.cache_store(obj, mask, value, key)
         return unique_costs[inverse]
-
-    def object_cost_kernel(self, obj: int, column: np.ndarray) -> float:
-        """Price one column through the batched kernel (cache-aware).
-
-        Equal to :meth:`object_costs_batch` on a single-row stack but
-        without opening a trace span; the GA delta chains use it so
-        chained and batch-evaluated offspring share one kernel (and one
-        cache).
-        """
-        column = np.asarray(column, dtype=bool)
-        return float(self._timed_batch(obj, column[None, :])[0])
 
     def population_costs(self, matrices) -> np.ndarray:
         """Total ``D`` of every scheme matrix in ``matrices`` (batched)."""

@@ -29,6 +29,7 @@ import argparse
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
 
+from repro.errors import ValidationError
 from repro.runtime.context import RunContext
 from repro.utils.profiler import FORMAT_COLLAPSED, PROFILE_FORMATS
 from repro.utils.telemetry import JsonlExporter, OpenMetricsExporter
@@ -197,7 +198,12 @@ def context_from_args(
     Only destinations belonging to groups the parser installed are
     consulted.  ``registry`` rides along as the context's explicit
     metrics registry (the conformance runner always collects one).
+    A negative ``--seed`` raises :class:`ValidationError` here, before
+    any subcommand writes a file.
     """
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     groups = frozenset(getattr(args, "_runtime_options", ()))
     trace = GROUP_TRACE in groups and bool(args.trace)
     profile = GROUP_PROFILE in groups and bool(args.profile)
@@ -216,7 +222,7 @@ def context_from_args(
 
         fault_plan = load_fault_plan(args.faults)
     return RunContext(
-        seed=getattr(args, "seed", None),
+        seed=seed,
         trace=trace,
         profile=profile,
         profile_every=(

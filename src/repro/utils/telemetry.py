@@ -5,7 +5,7 @@ process; :mod:`repro.utils.tracing` records *when* things happened.
 This module turns both into signals another system can consume:
 
 * a :class:`TelemetrySink` holds labelled **gauges** (per-site NTC,
-  event-queue depth, per-epoch savings — values that go up *and* down)
+  requests replayed, per-epoch savings — values that go up *and* down)
   next to an optional :class:`~repro.utils.metrics.MetricsRegistry`,
   and snapshots the combined state on demand;
 * pluggable **exporters** receive each snapshot: :class:`JsonlExporter`
@@ -27,7 +27,7 @@ sink when telemetry is off — the hot paths pay one call plus one
 Metric naming
 -------------
 Gauge names use OpenMetrics-safe characters (``[a-zA-Z0-9_:]``), e.g.
-``repro_sim_queue_depth``.  Registry counter/timer/histogram names (which
+``repro_sim_transfers``.  Registry counter/timer/histogram names (which
 use dots, e.g. ``cost.cache_hits``) are sanitised on export:
 ``cost.cache_hits`` becomes ``repro_cost_cache_hits``.  Labels are plain
 string pairs; per-site gauges carry ``{site="3"}``.
@@ -63,8 +63,8 @@ def sanitize_metric_name(name: str) -> str:
 
     >>> sanitize_metric_name("cost.cache_hits")
     'repro_cost_cache_hits'
-    >>> sanitize_metric_name("repro_sim_queue_depth")
-    'repro_sim_queue_depth'
+    >>> sanitize_metric_name("repro_sim_transfers")
+    'repro_sim_transfers'
     """
     cleaned = _SANITIZE.sub("_", name)
     if not cleaned.startswith(METRIC_PREFIX):
@@ -138,10 +138,10 @@ class TelemetrySink:
     """Labelled gauges plus registry snapshots, fanned out to exporters.
 
     >>> sink = TelemetrySink()
-    >>> sink.set_gauge("repro_sim_queue_depth", 17)
+    >>> sink.set_gauge("repro_sim_transfers", 17)
     >>> sink.observe_gauge("repro_sim_ntc_by_site", 3.5, site=2)
     >>> snap = sink.snapshot(tick=0)
-    >>> snap["gauges"]["repro_sim_queue_depth"][0]["value"]
+    >>> snap["gauges"]["repro_sim_transfers"][0]["value"]
     17.0
 
     ``enabled=False`` turns every method into a no-op; the shared

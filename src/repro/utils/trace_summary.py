@@ -189,12 +189,10 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
 
     Full pricing shows up as ``cost.batch`` spans (one per batched
     kernel call, ``rows`` columns each).  Incremental pricing shows up
-    as ``cost.delta`` events: GA delta chains emit one per batched
-    generation carrying ``chained``, and live evaluators emit a sampled
-    event every ~1024 priced deltas carrying cumulative
-    ``priced``/``applied`` counters (so those columns are
-    lower bounds, refreshed per sample).  ``None`` when the trace holds
-    neither.
+    as ``cost.delta`` events: live evaluators emit a sampled event every
+    ~1024 priced deltas carrying cumulative ``priced``/``applied``
+    counters (so those columns are lower bounds, refreshed per sample).
+    ``None`` when the trace holds neither.
     """
     batch_calls = 0
     batch_rows = 0
@@ -202,7 +200,6 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
         if node.name == COST_BATCH_SPAN:
             batch_calls += 1
             batch_rows += _count(node.attrs.get("rows"))
-    chained = 0
     priced = applied = 0
     delta_events = 0
     for event in summary.events:
@@ -210,7 +207,6 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
             continue
         delta_events += 1
         attrs = dict(event.get("attrs") or {})
-        chained += _count(attrs.get("chained"))
         # Cumulative per-evaluator counters: the latest sample carries
         # the running total, so keep the maximum seen.
         priced = max(priced, _count(attrs.get("priced")))
@@ -221,7 +217,6 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
         "full_batch_calls": batch_calls,
         "full_columns": batch_rows,
         "delta_events": delta_events,
-        "chained_columns": chained,
         "priced_deltas": priced,
         "applied_moves": applied,
     }
@@ -325,8 +320,7 @@ def render_summary(
             f"columns={mix['full_columns']}"
         )
         lines.append(
-            f"  incremental: chained_columns={mix['chained_columns']} "
-            f"priced_deltas>={mix['priced_deltas']} "
+            f"  incremental: priced_deltas>={mix['priced_deltas']} "
             f"applied>={mix['applied_moves']} "
             f"(events={mix['delta_events']}, sampled)"
         )

@@ -116,6 +116,29 @@ def test_negative_seed_is_clean_error(instance_file, scheme_file, tmp_path,
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("command", ["solve-sra", "solve-none", "conform"])
+def test_negative_seed_rejected_before_any_file(instance_file, tmp_path,
+                                                capsys, command):
+    """A negative seed fails even where nothing draws from it."""
+    outputs = [tmp_path / name for name in ("scheme.json", "t.jsonl",
+                                            "m.om", "report.json")]
+    scheme, trace, om, report = (str(path) for path in outputs)
+    argv = {
+        "solve-sra": ["solve", str(instance_file), "--algorithm", "sra",
+                      "--save-scheme", scheme],
+        "solve-none": ["solve", str(instance_file), "--algorithm", "none",
+                       "--save-scheme", scheme],
+        # without --budget the sweep seed is never used
+        "conform": ["conform", "run", "--json", report],
+    }[command]
+    argv += ["--trace", trace, "--openmetrics", om, "--seed", "-3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0, got -3\n"
+    assert captured.out == ""
+    assert not any(path.exists() for path in outputs)
+
+
 def test_simulate_faults_counts_requests_as_events(scheme_file, tmp_path,
                                                    capsys):
     """Under ``--faults`` the processed count is the requests replayed;

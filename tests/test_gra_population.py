@@ -56,7 +56,7 @@ def test_negative_fitness_reset_to_primary_only(manual_instance):
     bad[2, 1] = True  # extra replica of a heavily-updated object
     pop = Population(heavy, heavy_model, [Chromosome(bad)])
     member = pop.members[0]
-    pop.evaluate(member)
+    pop.evaluate_all()
     assert member.fitness == 0.0
     assert np.array_equal(member.matrix, primary_only_matrix(heavy))
 

@@ -253,9 +253,10 @@ def test_agra_trace_golden(small_instance):
     ] == AGRA_TRACE
 
     # Each micro-GA prices its initial population and every generation's
-    # pool in one cost.batch span under its agra.micro_ga span; the other
-    # cost.batch spans (GRA population and mini-GRA pricing) stay as many
-    # as before the micro-GA priced in batches.
+    # pool in one cost.batch span under its agra.micro_ga span.  The
+    # other cost.batch spans are GRA population and mini-GRA pricing:
+    # 45, where delta-chained mutation offspring once left 30, because
+    # mutation offspring are now batch-priced with everyone else.
     by_id = {r["id"]: r for r in records}
 
     def micro_ga_ancestor(record):
@@ -270,7 +271,7 @@ def test_agra_trace_golden(small_instance):
     assert len(micro) == 2 * (6 + 1)
     for batch, owner in micro:
         assert batch["attrs"] == {"obj": owner["attrs"]["obj"], "rows": 6}
-    assert len(batches) - len(micro) == 30
+    assert len(batches) - len(micro) == 45
 
 
 def test_adaptive_loop_golden():

@@ -173,7 +173,18 @@ def test_batch_equals_scalar_equals_reference(drawn, cached, seed):
         assert model.object_costs_batch(k, columns).tolist() == scalar
         assert [model.object_cost(k, c) for c in columns] == scalar
         assert [model.object_cost_cached(k, c) for c in columns] == scalar
-        assert [model.object_cost_kernel(k, c) for c in columns] == scalar
+        # The kernel itself takes the same (P, M) stack, with or
+        # without the cache warm, one row at a time or all at once.
+        fresh_model = CostModel(
+            instance,
+            update_fraction=update_fraction,
+            cache_size=64 if cached else 0,
+        )
+        assert fresh_model.object_cost_kernel(k, columns).tolist() == scalar
+        assert model.object_cost_kernel(k, columns).tolist() == scalar
+        assert [
+            float(model.object_cost_kernel(k, c[None, :])[0]) for c in columns
+        ] == scalar
         total += scalar[0]
     fresh = uncached.total_cost(scheme, cached=False)
     assert model.total_cost(scheme) == fresh

@@ -1,8 +1,8 @@
 """Every Eq. 4 pricing path agrees exactly on non-integer costs.
 
-The incremental evaluator, the one-shot deltas and the micro-GA's batch
-pricing price a column through the same term function as the scalar
-kernel.  On integer-valued costs most float sums are exact in any order,
+The incremental evaluator, the one-shot deltas and the GA and micro-GA
+batch pricing price a column through the same term function as the
+scalar kernel.  On integer-valued costs most float sums are exact in any order,
 so only float instances (shortest paths over a Waxman graph) can tell
 whether they really share one arithmetic: these tests assert ``==``, not
 a tolerance.  The batch-versus-scalar and cached-versus-uncached checks
@@ -15,10 +15,11 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.algorithms import AGRA, AGRAParams, GAParams, GRA
 from repro.algorithms.agra import micro_ga
+from repro.algorithms.gra.population import Population, primary_only_matrix
 from repro.conformance import default_corpus
 from repro.core import CostModel, ReplicationScheme, SparseCostModel
 from repro.core.fitness import fitness_from_costs
@@ -27,7 +28,9 @@ from repro.core.incremental import (
     single_add_delta,
     single_drop_delta,
 )
-from repro.workload import apply_pattern_change
+from repro.network.generators import waxman_topology
+from repro.utils.rng import as_generator
+from repro.workload import WorkloadSpec, apply_pattern_change, generate_instance
 from repro.workload.mutation import detect_changed_objects
 from repro.workload.sparse import SparseProblem
 from tests.strategies import float_instances
@@ -84,6 +87,68 @@ def test_evaluator_and_one_shot_deltas_equal_recompute(drawn, seed):
         elif site != int(primaries[obj]):
             scheme.drop_replica(site, obj)
     evaluator.consistency_check()
+
+
+def _write_heavy_float_instance():
+    """A Waxman instance where most offspring cost more than ``D'``."""
+    rng = as_generator(11)
+    cost = waxman_topology(7, alpha=0.9, beta=0.9, rng=rng).cost_matrix()
+    spec = WorkloadSpec(
+        num_sites=7, num_objects=5, update_ratio=0.8, capacity_ratio=0.6
+    )
+    instance = generate_instance(spec, rng=rng, cost=cost)
+    return instance, ReplicationScheme.primary_only(instance), 1.0
+
+
+def _gra_pool_costs_exact(instance, uf, seed):
+    """Evolve a small GRA and check every priced pool member.
+
+    After each :meth:`Population.evaluate_all` every member's ``cost``
+    must equal an uncached price of its matrix from a fresh model.
+    Returns how many members the negative-fitness reset rewrote.
+    """
+    reference = CostModel(instance, update_fraction=uf, cache_size=0)
+    primary_only = primary_only_matrix(instance)
+    evaluate_all = Population.evaluate_all
+    resets = []
+
+    def spy(population):
+        pending = [
+            (member, member.matrix.copy())
+            for member in population.members
+            if member.fitness is None
+        ]
+        evaluate_all(population)
+        for member, before in pending:
+            if not np.array_equal(member.matrix, before):
+                assert np.array_equal(member.matrix, primary_only)
+                assert member.fitness == 0.0
+                resets.append(member)
+        for member in population.members:
+            assert member.cost == reference.total_cost(
+                member.matrix, cached=False
+            )
+
+    params = GAParams(population_size=6, generations=4, mutation_rate=0.3)
+    with patch.object(Population, "evaluate_all", spy):
+        GRA(params, rng=seed, update_fraction=uf).run(instance)
+    return len(resets)
+
+
+@SETTINGS
+@given(float_instances(), st.integers(0, 2**16))
+@example(_write_heavy_float_instance(), 3)
+def test_gra_pool_costs_equal_fresh_price(drawn, seed):
+    """GRA prices each generation's pool in one population_costs call;
+    every member's cost, reset or not, is an exact fresh price."""
+    instance, _, uf = drawn
+    _gra_pool_costs_exact(instance, uf, seed)
+
+
+def test_write_heavy_example_triggers_reset():
+    """The pinned example above really exercises the reset branch."""
+    instance, _, uf = _write_heavy_float_instance()
+    assert _gra_pool_costs_exact(instance, uf, 3) > 0
 
 
 @SETTINGS

@@ -373,7 +373,7 @@ def trace_texts(tmp_path_factory):
         DistributedSRA(fault_plan=plan).run(instance)
         with tracer.span("gra.generation", index=0, best=1.5, mean=2.25):
             with tracer.span("cost.batch", rows=4):
-                tracer.event("cost.delta", priced=10, applied=2, chained=3)
+                tracer.event("cost.delta", priced=10, applied=2)
         tracer.event("agra.allocate", obj=1, site=2, benefit=3.5)
         tracer.write(str(tmp / "trace.jsonl"))
         tracer.write(str(tmp / "trace.json"), format=FORMAT_CHROME)

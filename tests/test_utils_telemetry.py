@@ -27,8 +27,8 @@ from repro.utils.telemetry import (
 
 def test_sanitize_metric_name():
     assert sanitize_metric_name("cost.cache_hits") == "repro_cost_cache_hits"
-    assert sanitize_metric_name("repro_sim_queue_depth") == (
-        "repro_sim_queue_depth"
+    assert sanitize_metric_name("repro_sim_transfers") == (
+        "repro_sim_transfers"
     )
     assert sanitize_metric_name("solve.SRA(random-order)") == (
         "repro_solve_SRA_random_order_"
@@ -101,7 +101,7 @@ def _populated_sink() -> TelemetrySink:
     registry.observe_value("sim.read_latency", 4.0, count=3)
     registry.observe_value("sim.read_latency", 0.0)  # zero bucket
     sink = TelemetrySink(registry=registry)
-    sink.set_gauge("repro_sim_queue_depth", 42)
+    sink.set_gauge("repro_sim_transfers", 42)
     sink.set_gauge("repro_sim_ntc_by_site", 1.25, site=3)
     sink.set_gauge("repro_sim_ntc_by_site", 0.5, site=11)
     sink.set_gauge("repro_weird", math.inf)
@@ -124,7 +124,7 @@ def test_openmetrics_round_trip_is_exact():
 def test_openmetrics_families_cover_all_metric_kinds():
     sink = _populated_sink()
     families = snapshot_families(sink._peek())
-    assert families["repro_sim_queue_depth"]["type"] == "gauge"
+    assert families["repro_sim_transfers"]["type"] == "gauge"
     assert families["repro_cost_cache_hits"]["type"] == "counter"
     assert families["repro_solve_SRA_seconds"]["type"] == "summary"
     hist = families["repro_sim_read_latency"]
